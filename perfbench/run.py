@@ -9,6 +9,8 @@ turn and reports the per-layer metrics (self time per layer span, layer
 counts, uncovered time and tracing overhead).  Either way it checks every
 verdict, pins each reference input's exact counts against
 ``perfbench/tripwire.json`` and prints one JSON object as its last line.
+Times are corrected for the host's speed as ``hostspeed.py`` measures it
+between the items; the raw wall times are kept in the report.
 A full report, with per-item latencies and, when tracing, every span, is
 written to ``.perfbench_out/``.
 
@@ -30,6 +32,8 @@ import sys
 import time
 from pathlib import Path
 
+from hostspeed import Ticker, corrected, slowdown
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
@@ -37,6 +41,7 @@ OUT = ROOT / ".perfbench_out"
 TRIPWIRE = HERE / "tripwire.json"
 
 SETUP_SAMPLES = 3  # fresh interpreters, one at a time; setup_s is their median
+SETUP_SLICES = 8  # kernel slices timed before and after a traced set-up
 REFERENCE_SEED = 0  # the seed whose inputs the tripwire pins
 LADDER = (99.9, 99.0, 95.0, 90.0, 75.0, 50.0)
 END_TO_END_UNITS = {
@@ -62,41 +67,68 @@ def parse_args(argv):
 
 
 def timed_setup(wl, tracer=None):
-    """Import the package and run the workload's first-time builds."""
+    """Import the package and run the workload's first-time builds.
+
+    Returns the set-up time corrected for host speed, its raw wall time and
+    the function that removes the tracer's wrappers (or None).  Untraced, a
+    ticker measures the host while the set-up runs; traced, its slices would
+    land inside the spans, so kernel slices before and after stand in.
+    """
+    if tracer is None:
+        ticker = Ticker()
+        ticker.start()
+        start = time.perf_counter()
+        import autgrp  # noqa: F401
+
+        wl.setup()
+        wall = time.perf_counter() - start
+        ticker.stop()
+        return (*corrected(wall, ticker.slices), None)
+
+    from tracing import install
+
+    before = slowdown(SETUP_SLICES)
     start = time.perf_counter()
-    import autgrp  # noqa: F401
+    import autgrp  # noqa: F401, F811
 
     imported = time.perf_counter()
-    uninstall = None
-    if tracer is not None:
-        from tracing import install
-
-        tracer.add("cli.import", start, imported)
-        uninstall = install(tracer)
+    tracer.add("cli.import", start, imported)
+    uninstall = install(tracer)
+    build_start = time.perf_counter()
     wl.setup()
-    return time.perf_counter() - start, uninstall
+    raw = imported - start + time.perf_counter() - build_start
+    return raw / ((before + slowdown(SETUP_SLICES)) / 2), raw, uninstall
 
 
-def probe_setup(name: str) -> float:
-    """setup_s measured in a fresh interpreter, one at a time."""
+def probe_setup(name: str) -> tuple[float, float]:
+    """Corrected and raw set-up time in a fresh interpreter, one at a time."""
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", name, "--setup-probe"]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=120, check=True)
-    return float(done.stdout.split()[-1])
+    corrected, raw = done.stdout.split()[-2:]
+    return float(corrected), float(raw)
 
 
 def run_passes(wl, items, seconds: float, tracer=None):
-    """Closed loop, one client: whole passes over the items until the time is up."""
+    """Closed loop, one client: whole passes over the items until the time is up.
+
+    Returns per item its latencies corrected for host speed, its raw
+    latencies and its outcomes, one of each per pass.  An item's slowdown is
+    the mean of the kernel slices timed just before and just after it, which
+    run outside the item's timing and span, unless the item measured the
+    host itself while it ran (``Outcome.slowdown``); then the time of its
+    own slices is taken out of its latency.
+    """
     from tracing import ITEM
 
     latencies = [[] for _ in items]
+    raw = [[] for _ in items]
     outcomes = [[] for _ in items]
-    walls = []
     deadline = time.perf_counter() + seconds
     while True:
         if tracer is not None:
-            tracer.pass_no = len(walls)
+            tracer.pass_no = len(raw[0])
         gc.collect()  # every pass starts from the same heap state
-        pass_start = time.perf_counter()
+        before = slowdown()
         for i, item in enumerate(items):
             if tracer is not None:
                 tracer.item_span = tracer.open(ITEM)
@@ -108,11 +140,20 @@ def run_passes(wl, items, seconds: float, tracer=None):
             t1 = time.perf_counter()
             if tracer is not None:
                 tracer.close(tracer.item_span)
-            latencies[i].append(t1 - t0)
+            after = slowdown()
+            took = t1 - t0 - getattr(out, "probe_s", 0.0)
+            slow = getattr(out, "slowdown", None) or (before + after) / 2
+            latencies[i].append(took / slow)
+            raw[i].append(took)
             outcomes[i].append(out)
-        walls.append(time.perf_counter() - pass_start)
+            before = after
         if time.perf_counter() >= deadline:
-            return latencies, outcomes, walls
+            return latencies, raw, outcomes
+
+
+def pass_sums(per_item):
+    """Per pass, the sum over the items: the pass's timed phase."""
+    return [sum(col) for col in zip(*per_item)]
 
 
 def plain(value):
@@ -191,12 +232,11 @@ def compare_tripwire(name, entries):
     return problems
 
 
-def tail_percentile(per_pass: int) -> float:
-    """Highest ladder percentile with at least ten samples beyond it even in
-    a run of a single pass, so the tail's definition does not change with
-    the number of passes; 100 (the maximum) below twenty items."""
+def tail_percentile(n_items: int) -> float:
+    """Highest ladder percentile with at least ten item latencies beyond it;
+    100 (the maximum) below twenty items."""
     for p in LADDER:
-        if per_pass - math.ceil(p / 100 * per_pass) >= 10:
+        if n_items - math.ceil(p / 100 * n_items) >= 10:
             return p
     return 100.0
 
@@ -228,7 +268,8 @@ def main(argv=None) -> int:
     wl = WORKLOADS[args.workload]()
 
     if args.setup_probe:
-        print(repr(timed_setup(wl)[0]))
+        corrected, raw, _ = timed_setup(wl)
+        print(repr(corrected), repr(raw))
         return 0
 
     OUT.mkdir(exist_ok=True)
@@ -262,7 +303,7 @@ def main(argv=None) -> int:
         from tracing import Tracer
 
         tracer = Tracer()
-    _, uninstall = timed_setup(wl, tracer)
+    setup_s, setup_raw, uninstall = timed_setup(wl, tracer)
     if uninstall is not None:
         uninstall()
 
@@ -271,20 +312,22 @@ def main(argv=None) -> int:
             wl.run(item)
 
     if not args.trace:
-        latencies, outcomes, walls = run_passes(wl, items, args.seconds)
+        latencies, raw, outcomes = run_passes(wl, items, args.seconds)
     else:
         from tracing import install, layer_metrics
 
-        latencies, outcomes, walls = run_passes(wl, items, args.seconds / 2)
+        latencies, raw, outcomes = run_passes(wl, items, args.seconds / 2)
         uninstall = install(tracer)
         wl.tracer = tracer
         try:
-            _, t_out, t_walls = run_passes(wl, items, args.seconds / 2, tracer)
+            t_lat, t_raw, t_out = run_passes(wl, items, args.seconds / 2, tracer)
         finally:
             uninstall()
             wl.tracer = None
         for i in range(len(items)):
             outcomes[i].extend(t_out[i])
+    walls = pass_sums(latencies)
+    raw_walls = pass_sums(raw)
 
     attempted, failed, problems = gate(wl, items, outcomes)
     ref_items = items if args.seed == REFERENCE_SEED else wl.corpus(REFERENCE_SEED)
@@ -295,37 +338,57 @@ def main(argv=None) -> int:
     correct = not problems
 
     if not args.trace:
-        setup_samples = [probe_setup(wl.name) for _ in range(SETUP_SAMPLES)]
-        samples = [x for lat in latencies for x in lat]
+        probes = [probe_setup(wl.name) for _ in range(SETUP_SAMPLES)]
+        setup_samples = [c for c, _ in probes]
+        # an item's latency is its median over the passes, so one slow
+        # sample of an item cannot move the tail
+        item_latency = [statistics.median(lat) for lat in latencies]
         tail_pct = tail_percentile(len(items))
         steps_per_pass = sum(out.steps for out in (outs[0] for outs in outcomes) if not isinstance(out, Exception))
+        run_s = statistics.median(walls)
         values = {
             "setup_s": statistics.median(setup_samples),
-            "run_s": sum(walls) / len(walls),
-            "latency_p50_ms": 1e3 * statistics.median(samples),
-            "latency_tail_ms": 1e3 * percentile(samples, tail_pct),
-            "steps_per_s": steps_per_pass * len(walls) / sum(walls),
+            "run_s": run_s,
+            "latency_p50_ms": 1e3 * statistics.median(item_latency),
+            "latency_tail_ms": 1e3 * percentile(item_latency, tail_pct),
+            "steps_per_s": steps_per_pass / run_s,
             "sim_steps": sum(out.steps for _, out in ref if not isinstance(out, Exception)),
             "peak_rss_mb": wl.peak_rss_kb() / 1024,
         }
         metrics = {k: {"value": v, "unit": END_TO_END_UNITS[k]} for k, v in values.items()}
         report.update(
             setup_samples=setup_samples,
+            raw_setup_samples=[r for _, r in probes],
             pass_walls=walls,
-            latency_samples=len(samples),
+            raw_pass_walls=raw_walls,
+            latency_items=len(item_latency),
             latency_tail_percentile=tail_pct,
-            items=[{"key": it.key, "input": it.digest, "ms": [1e3 * x for x in lat]} for it, lat in zip(items, latencies)],
+            items=[
+                {"key": it.key, "input": it.digest, "ms": [1e3 * x for x in lat], "raw_ms": [1e3 * x for x in r]}
+                for it, lat, r in zip(items, latencies, raw)
+            ],
         )
         notes = [
             f"failed_frac = {failed / attempted!r} ({failed} of {attempted} item runs)",
-            f"latency over {len(samples)} item runs ({len(items)} items x {len(walls)} passes); tail is p{tail_pct:g}",
+            f"latency over {len(items)} items, each the median of its {len(walls)} passes; tail is p{tail_pct:g}",
             f"setup samples (s): {', '.join(f'{x:.4f}' for x in setup_samples)}",
+            f"raw wall times: run_s {statistics.median(raw_walls)!r} s, setup_s {statistics.median(r for _, r in probes)!r} s; "
+            f"host slowdown per pass {', '.join(f'{r / c:.3f}' for r, c in zip(raw_walls, walls))}",
         ]
     else:
-        pass_walls = {p: w for p, w in enumerate(t_walls)}
-        layer = layer_metrics(tracer.spans, pass_walls, walls)
+        t_walls, t_raw_walls = pass_sums(t_lat), pass_sums(t_raw)
+        traced = {p: (c, r) for p, (c, r) in enumerate(zip(t_walls, t_raw_walls))}
+        layer = layer_metrics(tracer.spans, traced, walls, setup_s / setup_raw)
+        layer["host.slowdown"] = (statistics.median(r / c for r, c in zip(raw_walls + t_raw_walls, walls + t_walls)), "ratio")
+        layer["host.raw_pass_s"] = (statistics.median(raw_walls), "s")
         metrics = {k: {"value": v, "unit": u} for k, (v, u) in layer.items()}
-        report.update(untraced_pass_walls=walls, traced_pass_walls=t_walls, spans=tracer.spans)
+        report.update(
+            untraced_pass_walls=walls,
+            traced_pass_walls=t_walls,
+            raw_untraced_pass_walls=raw_walls,
+            raw_traced_pass_walls=t_raw_walls,
+            spans=tracer.spans,
+        )
         notes = [
             f"failed_frac = {failed / attempted!r} ({failed} of {attempted} item runs)",
             f"{len(walls)} untraced and {len(t_walls)} traced passes; {len(tracer.spans)} spans",

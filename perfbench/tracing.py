@@ -171,16 +171,22 @@ def self_times(spans: list[list]) -> list[float]:
     return own
 
 
-def layer_metrics(spans: list[list], pass_walls: dict[int, float], untraced_walls: list[float]) -> dict:
+def layer_metrics(spans: list[list], traced: dict[int, tuple], untraced_walls: list[float], setup_scale: float) -> dict:
     """Per-layer metrics from one set-up and the median traced pass.
 
-    A layer time is the layer's self time during set-up plus its median
-    self time per traced pass.  Counts are per pass (they repeat exactly).
-    ``trace.uncovered_s`` is the median part of a pass not inside any layer
-    span: harness bookkeeping, process start-up and untraced glue code.
+    ``traced`` maps each traced pass to its timed phase corrected for host
+    speed and raw; span times are raw, so each is scaled by its pass's
+    corrected-to-raw ratio, or by ``setup_scale`` during set-up.  A layer
+    time is the layer's self time during set-up plus its median self time
+    per traced pass.  Counts are per pass (they repeat exactly).
+    ``trace.uncovered_s`` is the median part of a pass's items not inside
+    any layer span: harness bookkeeping, process start-up and untraced glue
+    code.
     """
     own = self_times(spans)
-    passes = sorted(pass_walls)
+    passes = sorted(traced)
+    pass_walls = {p: traced[p][1] for p in passes}
+    scale = {p: traced[p][0] / traced[p][1] for p in passes}
     setup = {n: 0.0 for n in LAYER_SPANS}
     per_pass = {p: {n: 0.0 for n in LAYER_SPANS} for p in passes}
     counts = {p: {} for p in passes}
@@ -190,11 +196,11 @@ def layer_metrics(spans: list[list], pass_walls: dict[int, float], untraced_wall
     for i, (name, start, end, parent, pass_no, attrs) in enumerate(spans):
         if pass_no < 0:
             if name in setup:
-                setup[name] += own[i]
+                setup[name] += own[i] * setup_scale
             continue
         n_spans[pass_no] += 1
         if name in per_pass[pass_no]:
-            per_pass[pass_no][name] += own[i]
+            per_pass[pass_no][name] += own[i] * scale[pass_no]
         if name != ITEM and (parent < 0 or parent in item_ids):
             covered[pass_no] += end - start
         if attrs:
@@ -219,11 +225,11 @@ def layer_metrics(spans: list[list], pass_walls: dict[int, float], untraced_wall
         out[f"{name}_s"] = (setup[name] + med([per_pass[p][name] for p in passes]), "s")
     for key in COUNT_METRICS:
         out[key] = (counts[passes[0]].get(key, 0) if passes else 0, "count")
-    traced = med([pass_walls[p] for p in passes])
+    traced_s = med([traced[p][0] for p in passes])
     untraced = med(untraced_walls)
-    out["trace.pass_s"] = (traced, "s")
+    out["trace.pass_s"] = (traced_s, "s")
     out["trace.untraced_pass_s"] = (untraced, "s")
-    out["trace.overhead"] = (traced / untraced - 1.0 if untraced else 0.0, "ratio")
-    out["trace.uncovered_s"] = (med([pass_walls[p] - covered[p] for p in passes]), "s")
+    out["trace.overhead"] = (traced_s / untraced - 1.0 if untraced else 0.0, "ratio")
+    out["trace.uncovered_s"] = (med([(pass_walls[p] - covered[p]) * scale[p] for p in passes]), "s")
     out["trace.spans"] = (med([n_spans[p] for p in passes]), "count")
     return out

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from hostspeed import ticker_slowdown
+
 HERE = Path(__file__).resolve().parent
 
 
@@ -44,6 +46,10 @@ class Outcome:
     verdict: Any
     counts: tuple
     steps: int
+    # set by an item that measures the host's speed while it runs: the time
+    # its kernel slices took, and the slowdown they saw
+    probe_s: float = 0.0
+    slowdown: float | None = None
 
 
 class Workload:
@@ -74,8 +80,6 @@ class Workload:
 
 GRIGORCHUK_SHORT_RELATORS = ("aa", "bb", "cc", "dd", "bcd", "cbd")
 GRIGORCHUK_RELATORS = GRIGORCHUK_SHORT_RELATORS + ("ad" * 4, "ac" * 8, "ab" * 16)
-# images in the abelianization (Z/2)^3 of the Grigorchuk group; all distinct
-GRIGORCHUK_ABEL = {"a": 0b100, "b": 0b010, "c": 0b001, "d": 0b011}
 
 
 def conjugate_product(rng: random.Random, n: int, relators, letters: str, max_conj: int) -> str:
@@ -92,21 +96,24 @@ def conjugate_product(rng: random.Random, n: int, relators, letters: str, max_co
 
 
 def grigorchuk_nontrivial(rng: random.Random, n: int) -> str:
-    """Random word whose abelianization image is nonzero, hence nontrivial."""
+    """Random word with an odd number of a's.  Its abelianization image has
+    the a bit set, so it is nontrivial, and it swaps the two subtrees (a is
+    the only active generator), so every solver rejects it at the first
+    branch-permutation scan: its cost depends on n, not on the seed."""
     w = rng.choices("abcd", k=n)
-    image = 0
-    for ch in w:
-        image ^= GRIGORCHUK_ABEL[ch]
-    if image == 0:
-        w[-1] = "a" if w[-1] != "a" else "b"
+    if w.count("a") % 2 == 0:
+        w[-1] = "b" if w[-1] == "a" else "a"
     return "".join(w)
 
 
 def basilica_nontrivial(rng: random.Random, n: int) -> str:
-    """Random word with nonzero a-exponent sum (basilica abelianizes onto Z^2)."""
+    """Random word with an odd number of active letters a, A.  Its a-exponent
+    sum is odd, so it is nontrivial (basilica abelianizes onto Z^2), and it
+    swaps the two subtrees, so every solver rejects it at the first
+    branch-permutation scan: its cost depends on n, not on the seed."""
     w = rng.choices("abAB", k=n)
-    if w.count("a") == w.count("A"):
-        w[-1] = {"a": "A", "A": "a"}.get(w[-1], "a")
+    if (w.count("a") + w.count("A")) % 2 == 0:
+        w[-1] = {"a": "b", "A": "B", "b": "a", "B": "A"}[w[-1]]
     return "".join(w)
 
 
@@ -287,8 +294,11 @@ SEARCH_PLAN = {
 # Trivial and random words per automaton.  Basilica and poly1 words take
 # about 2.5 ms, grigorchuk and adding words 0.6-1.4 ms: weighting the slower
 # pair puts the median item inside their cluster instead of on the gap
-# between the two, where it would flip from run to run.
-SEARCH_WORDS = {"basilica": 12, "grigorchuk": 8, "poly1": 12, "adding": 8}
+# between the two, where it would flip from run to run.  So many words keep
+# the dozen slow analysis items under a tenth of the items, so the p90 tail
+# also falls inside the word cluster, and they average out the seed's effect
+# on the steps of short words.
+SEARCH_WORDS = {"basilica": 48, "grigorchuk": 32, "poly1": 48, "adding": 32}
 
 
 class Search(Workload):
@@ -299,8 +309,8 @@ class Search(Workload):
     )
     sizes = (
         "basilica, grigorchuk, poly1, adding; per automaton best_certificate box (6,2), two "
-        "check_item cells, classify, growth radius 9-10, 8-12 trivial u u^-1 and as many random "
-        "words of length 8-14; 100 items"
+        "check_item cells, classify, growth radius 9-10, 32-48 trivial u u^-1 and as many random "
+        "words of length 8-14; 340 items"
     )
     # Nothing is warmed: a user certifying an automaton pays the ball,
     # closure and certificate caches on every CLI run, so the first item of
@@ -378,14 +388,16 @@ STEPS_RE = re.compile(r"stages=(\d+) steps=(\d+)")
 class ColdCli(Workload):
     name = "cold-cli"
     why = (
-        "one fresh python -m autgrp per command, imports included: the only workload "
+        "one fresh autgrp CLI process per command, imports included: the only workload "
         "dominated by start-up (heis is built at import)"
     )
     sizes = (
         "6 commands per pass: solve grigorchuk cdb, solve heis ABabC, certify grigorchuk "
         "L2 k1 item1, classify poly1, solve basilica <seeded 24-letter word>, bench basilica-ab --fit"
     )
-    # Every process starts cold by definition; nothing is warmed.
+    # Every process starts cold by definition; nothing is warmed.  Untraced,
+    # a process runs through cli_timed.py, which measures the host's speed
+    # inside the process while the command runs.
 
     def setup(self) -> None:
         import autgrp  # noqa: F401  the import every CLI process pays
@@ -411,12 +423,12 @@ class ColdCli(Workload):
 
     def run(self, item: Item) -> Outcome:
         argv = list(item.args)
-        spans_path = None
         if self.tracer is not None:
-            spans_path = self.out_dir / f"cli-spans-{os.getpid()}.json"
-            cmd = [sys.executable, str(HERE / "cli_child.py"), str(spans_path), *argv]
+            side_path = self.out_dir / f"cli-spans-{os.getpid()}.json"
+            cmd = [sys.executable, str(HERE / "cli_child.py"), str(side_path), *argv]
         else:
-            cmd = [sys.executable, "-m", "autgrp", *argv]
+            side_path = self.out_dir / f"cli-slices-{os.getpid()}.json"
+            cmd = [sys.executable, str(HERE / "cli_timed.py"), str(side_path), *argv]
         proc = subprocess.Popen(cmd, env=self.env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         try:
             text = proc.stdout.read()
@@ -425,10 +437,15 @@ class ColdCli(Workload):
             _, status, usage = os.wait4(proc.pid, 0)
             proc.returncode = os.waitstatus_to_exitcode(status)
         self.child_rss_kb = max(self.child_rss_kb, usage.ru_maxrss)
-        if spans_path is not None:
-            self.tracer.extend(json.loads(spans_path.read_text()), self.tracer.item_span)
-            spans_path.unlink()
-        return cli_outcome(proc.returncode, text)
+        side = json.loads(side_path.read_text())
+        side_path.unlink()
+        out = cli_outcome(proc.returncode, text)
+        if self.tracer is not None:
+            self.tracer.extend(side, self.tracer.item_span)
+        elif side:
+            out.probe_s = sum(side)
+            out.slowdown = ticker_slowdown(side)
+        return out
 
     def peak_rss_kb(self) -> int:
         return self.child_rss_kb  # the largest CLI process
