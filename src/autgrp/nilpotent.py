@@ -15,6 +15,8 @@ fixed while the written word spells the preimage of the input under phi.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -144,17 +146,23 @@ class _HeisenbergOps(_Ops):
         return out
 
 
-def _make_ops(kind: str) -> _Ops:
-    key = kind.strip().lower()
-    if key in ("z4", "z"):
-        ops = _AbelianOps("z4", 1, 4, [("a", (1,))])
-    elif key in ("z2", "z2x4"):
-        ops = _AbelianOps("z2", 2, 16, [("a", (1, 0)), ("b", (0, 1))])
-    elif key in ("heis", "heisenberg"):
-        ops = _HeisenbergOps()
-    else:
+_KINDS = {"z4": "z4", "z": "z4", "z2": "z2", "z2x4": "z2", "heis": "heis", "heisenberg": "heis"}
+
+
+def _canonical_kind(kind: str) -> str:
+    key = _KINDS.get(kind.strip().lower())
+    if key is None:
         raise ValueError(f"unknown instance kind {kind!r} (expected z4, z2, or heis)")
-    return ops
+    return key
+
+
+def _make_ops(kind: str) -> _Ops:
+    key = _canonical_kind(kind)
+    if key == "z4":
+        return _AbelianOps("z4", 1, 4, [("a", (1,))])
+    if key == "z2":
+        return _AbelianOps("z2", 2, 16, [("a", (1, 0)), ("b", (0, 1))])
+    return _HeisenbergOps()
 
 
 def _letter_name(ops: _Ops, coords: tuple[int, ...]) -> str:
@@ -207,6 +215,7 @@ class NilpotentInstance:
         "y_tab",
         "_name_index",
         "_coord_index",
+        "_byte_index",
     )
 
     def __init__(self, ops: _Ops, letter_coords: list[tuple[int, ...]]):
@@ -218,6 +227,11 @@ class NilpotentInstance:
             raise ValueError("duplicate letters")
         self.letter_names = tuple(_letter_name(ops, c) for c in self.letters)
         self._name_index = {n: i for i, n in enumerate(self.letter_names)}
+        # one-character letter names by byte value, -1 for everything else
+        self._byte_index = np.full(256, -1, dtype=np.int64)
+        for n, i in self._name_index.items():
+            if len(n) == 1 and n.isascii():
+                self._byte_index[ord(n)] = i
         zero = tuple(0 for _ in range(ops.dim))
         self.e_index = self._coord_index[zero]
         arr = np.asarray(self.letters, dtype=np.int64)
@@ -261,8 +275,23 @@ class NilpotentInstance:
         return _letter_name(self.ops, tuple(int(v) for v in coords))
 
     def parse(self, word: Union[str, Sequence]) -> np.ndarray:
-        if isinstance(word, np.ndarray) and word.dtype.kind == "i":
-            return word.astype(np.int64)
+        """Letter indices of a word, as a new int64 array.
+
+        Takes a string of one-character letters, whitespace-separated letter
+        names, a sequence of names or indices, or an integer array; raises
+        UnknownLetter for a name or index that is not a letter.
+        """
+        if isinstance(word, np.ndarray) and word.dtype.kind in "iu":
+            out = word.astype(np.int64)
+            bad = np.flatnonzero((out < 0) | (out >= self.n_letters))
+            if len(bad):
+                raise UnknownLetter(str(word.flat[bad[0]]))
+            return out
+        if isinstance(word, str) and word.isascii():
+            out = self._byte_index[np.frombuffer(word.encode("ascii"), np.uint8)]
+            if (out >= 0).all():
+                return out
+            # whitespace, a multi-character name or a bad character
         if isinstance(word, str):
             tokens = word.split() if any(ch.isspace() for ch in word) else None
             if tokens is None:
@@ -325,10 +354,46 @@ class NilpotentInstance:
         return all(v == 0 for v in self.word_value(word))
 
 
-def _fill_tables(inst: NilpotentInstance) -> list[tuple[int, ...]]:
-    """Populate act/y_tab/c_tab from coordinates; returns coordinates of any
-    produced letter that falls outside the set (those entries get the identity
-    as a placeholder, which verify_table_closure then flags)."""
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` for integer rows.
+
+    Each row becomes one int64 key: its coordinates, offset by their column
+    minimum, read as digits in mixed radix with the first column most
+    significant.  Sorting the keys sorts the rows lexicographically, so the
+    result is the same as the row-wise unique, without its slow sort.
+    """
+    lo = rows.min(axis=0)
+    radix = [int(r) for r in rows.max(axis=0) - lo + 1]
+    if math.prod(radix) >= 2**63:  # keys would overflow int64
+        return np.unique(rows, axis=0, return_inverse=True)
+    key = np.zeros(len(rows), dtype=np.int64)
+    for d, r in enumerate(radix):
+        key *= r
+        key += rows[:, d] - lo[d]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return rows[first], inverse
+
+
+def _product_cube(inst: NilpotentInstance) -> np.ndarray:
+    """x*a*b for every letter pair (a, b) and representative x, as an
+    (n_letters, n_letters, n_reps, dim) coordinate array."""
+    ops = inst.ops
+    letters = np.asarray(inst.letters, dtype=np.int64)
+    nN, nX = inst.n_letters, ops.n_reps
+    reps = ops.rep_from_index(np.arange(nX, dtype=np.int64))
+    A = np.broadcast_to(letters[:, None, None, :], (nN, nN, nX, ops.dim))
+    B = np.broadcast_to(letters[None, :, None, :], (nN, nN, nX, ops.dim))
+    X = np.broadcast_to(reps[None, None, :, :], (nN, nN, nX, ops.dim))
+    return ops.mult(ops.mult(X.copy(), A), B)
+
+
+def _fill_tables(inst: NilpotentInstance) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Populate act/y_tab/c_tab from coordinates.
+
+    Returns the coordinates of any produced letter that falls outside the set
+    (those entries get the identity as a placeholder, which
+    verify_table_closure then flags) and the x*a*b cube the tables came from.
+    """
     ops = inst.ops
     letters = np.asarray(inst.letters, dtype=np.int64)
     nN = inst.n_letters
@@ -341,15 +406,12 @@ def _fill_tables(inst: NilpotentInstance) -> list[tuple[int, ...]]:
     )
     inst.act = ops.rep_index(ops.rep_coords(XA)).astype(np.int32).T.copy()  # (nX, nN)
 
-    A = np.broadcast_to(letters[:, None, None, :], (nN, nN, nX, ops.dim))
-    B = np.broadcast_to(letters[None, :, None, :], (nN, nN, nX, ops.dim))
-    X = np.broadcast_to(reps[None, None, :, :], (nN, nN, nX, ops.dim))
-    T = ops.mult(ops.mult(X.copy(), A), B)
+    T = _product_cube(inst)
     Ycoords = ops.rep_coords(T)
     inst.y_tab = ops.rep_index(Ycoords).astype(np.int32)
     C = ops.phi_inv(ops.mult(T, ops.inv(Ycoords.copy())))
     flatC = C.reshape(-1, ops.dim)
-    uniq, inverse = np.unique(flatC, axis=0, return_inverse=True)
+    uniq, inverse = _unique_rows(flatC)
     lut = np.empty(len(uniq), dtype=np.int32)
     missing = []
     for i, row in enumerate(uniq):
@@ -360,7 +422,7 @@ def _fill_tables(inst: NilpotentInstance) -> list[tuple[int, ...]]:
             got = inst.e_index
         lut[i] = got
     inst.c_tab = lut[inverse].astype(np.int32).reshape(nN, nN, nX)
-    return missing
+    return missing, T
 
 
 def _seed_letters(ops: _Ops) -> list[tuple[int, ...]]:
@@ -385,14 +447,22 @@ def build_instance(kind: str) -> NilpotentInstance:
 
     Starts from the generators and grows the letter set until the rewrite
     table closes over it, verifying each round; gives up after a bounded
-    number of rounds.
+    number of rounds.  Memoized per kind, aliases included: every caller
+    shares one instance, whose tables are read-only.
     """
+    return _shared_instance(_canonical_kind(kind))
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_instance(kind: str) -> NilpotentInstance:
     ops = _make_ops(kind)
     letters = _seed_letters(ops)
     for _ in range(_CLOSURE_ROUNDS):
         inst = NilpotentInstance(ops, letters)
-        missing = _fill_tables(inst)
-        if not missing and verify_table_closure(inst):
+        missing, cube = _fill_tables(inst)
+        if not missing and _check_tables(inst, cube):
+            for table in (inst.act, inst.c_tab, inst.y_tab, inst.inverse_index):
+                table.flags.writeable = False
             return inst
         grown = dict.fromkeys(letters)
         for c in missing:
@@ -405,6 +475,9 @@ def build_instance(kind: str) -> NilpotentInstance:
             raise ClosureFailure("table verification failed on a stable letter set")
         letters = sorted(grown)
     raise ClosureFailure(f"letter set failed to close in {_CLOSURE_ROUNDS} rounds")
+
+
+build_instance.cache_info = _shared_instance.cache_info
 
 
 def instance_with_letters(kind: str, letter_coords) -> NilpotentInstance:
@@ -422,14 +495,14 @@ def instance_with_letters(kind: str, letter_coords) -> NilpotentInstance:
 def verify_table_closure(inst: NilpotentInstance) -> TableCheck:
     """Re-derive every (a, b, x) entry from coordinates and confirm the stored
     pair satisfies phi(c)*y = x*a*b with c inside the letter set."""
+    return _check_tables(inst, _product_cube(inst))
+
+
+def _check_tables(inst: NilpotentInstance, T: np.ndarray) -> TableCheck:
+    """verify_table_closure against a precomputed x*a*b cube."""
     ops = inst.ops
     letters = np.asarray(inst.letters, dtype=np.int64)
     nN, nX = inst.n_letters, ops.n_reps
-    reps = ops.rep_from_index(np.arange(nX, dtype=np.int64))
-    A = np.broadcast_to(letters[:, None, None, :], (nN, nN, nX, ops.dim))
-    B = np.broadcast_to(letters[None, :, None, :], (nN, nN, nX, ops.dim))
-    X = np.broadcast_to(reps[None, None, :, :], (nN, nN, nX, ops.dim))
-    T = ops.mult(ops.mult(X.copy(), A), B)
 
     stored_c = letters[inst.c_tab]
     stored_y = ops.rep_from_index(inst.y_tab.astype(np.int64))
@@ -438,7 +511,7 @@ def verify_table_closure(inst: NilpotentInstance) -> TableCheck:
 
     recomputed = ops.phi_inv(ops.mult(T, ops.inv(ops.rep_coords(T).copy())))
     flat = recomputed.reshape(-1, ops.dim)
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
+    uniq, inverse = _unique_rows(flat)
     known = np.array(
         [tuple(int(v) for v in row) in inst._coord_index for row in uniq], dtype=bool
     )
@@ -516,7 +589,7 @@ def _halve_inplace(inst: NilpotentInstance, w: np.ndarray) -> int:
 def halve(inst: NilpotentInstance, word) -> tuple[str, ...]:
     """Rewrite a word in the endomorphism image to one spelling its preimage;
     the output has the same length and about half the non-identity letters."""
-    idxs = inst.parse(word).copy()
+    idxs = inst.parse(word)
     if _scan_index(inst, idxs) != inst.rep_e:
         raise ValueError("word is not in the endomorphism image")
     _halve_inplace(inst, idxs)
@@ -526,7 +599,7 @@ def halve(inst: NilpotentInstance, word) -> tuple[str, ...]:
 def solve_nilpotent(inst: NilpotentInstance, word) -> StepReport:
     """Decide triviality by repeated halving, counting tape-machine steps:
     three scans of the full tape per stage plus one write per rewritten symbol."""
-    w = inst.parse(word).copy()
+    w = inst.parse(word)
     n = len(w)
     steps = 0
     stages = 0

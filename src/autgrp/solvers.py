@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Union
 from .automata import MealyAutomaton, WordLike, inverse_closure
 from .contraction import ContractionCertificate
 from .errors import (
+    BudgetExceeded,
     CertificateMismatch,
     NoIdentityState,
     NonTermination,
@@ -382,7 +383,8 @@ def solve_polynomial(
 
 def solve_oracle(A: MealyAutomaton, tape: TapeLike, budget: int = DEFAULT_ORACLE_BUDGET) -> StepReport:
     """Exponential-time reference: closure scan per segment, counting every
-    computed section letter as a step."""
+    computed section letter as a step.  Raises BudgetExceeded when a
+    segment's closure would grow past ``budget`` words."""
     ic = inverse_closure(A)
     B = ic.automaton
     segments = _parse_tape(ic.parse, tape)
@@ -411,6 +413,8 @@ def solve_oracle(A: MealyAutomaton, tape: TapeLike, budget: int = DEFAULT_ORACLE
                 imgs.append(cur)
                 sec = tuple(sec)
                 if sec not in index:
+                    if len(index) >= budget:
+                        raise BudgetExceeded(budget, "section closure")
                     index.add(sec)
                     todo.append(sec)
             if tuple(imgs) != ident_img:

@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, report formats, usage errors."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import autgrp
 from autgrp import cli_main
 
 
@@ -94,6 +98,16 @@ def test_solve_group(capsys):
     assert rc == 0
     rc, _, _ = run(capsys, "solve", "--group", "z4", "--word", "aaa")
     assert rc == 1
+
+
+def test_import_builds_no_instance():
+    # start-up does no table work: nothing is in the instance memo after the
+    # CLI module is imported in a fresh process
+    src = os.path.dirname(os.path.dirname(autgrp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import autgrp.cli, autgrp.nilpotent as n; print(n.build_instance.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0"
 
 
 def test_solve_usage_errors(capsys):

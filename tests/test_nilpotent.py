@@ -1,5 +1,6 @@
 """Halving solver over finitely generated nilpotent groups."""
 
+import hashlib
 import itertools
 import random
 
@@ -18,6 +19,7 @@ from autgrp import (
     verify_table_closure,
 )
 from autgrp.errors import UnknownLetter
+from autgrp.nilpotent import _unique_rows
 
 
 Z4_LETTERS = [(j,) for j in range(-3, 4)]
@@ -40,6 +42,61 @@ def test_kind_aliases():
         build_instance("zz")
 
 
+def test_instances_are_shared_per_kind():
+    assert build_instance("heis") is build_instance("heisenberg")
+    assert build_instance("z") is build_instance("z4")
+    assert build_instance(" Z2X4 ") is build_instance("z2")
+    assert instance_with_letters("z4", Z4_LETTERS) is not instance_with_letters("z4", Z4_LETTERS)
+
+
+def test_shared_tables_are_read_only(z4, z2, heis):
+    for inst in (z4, z2, heis):
+        for table in (inst.act, inst.c_tab, inst.y_tab, inst.inverse_index):
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0
+
+
+# sha1 of letters (int64 coordinates), act, c_tab and y_tab (int32)
+TABLE_SHA1 = {
+    "z4": (
+        "4418e0e12e21255f1955374a5da0e283167438d8",
+        "a1b48a7e4d74d30caacdbc21787369c9c3172dba",
+        "d7a4b632fe33ca57620f19b0ba13cc6abcd00219",
+        "ba0dc0636f702bc0ce6cff235993dcaa6cbecedf",
+    ),
+    "z2": (
+        "aa2771f32c6e04a94e87ffad19bca59dc317bd3d",
+        "6b82d166fa3c3f696a1db86fb17691a066b2ac83",
+        "8932be96d47774fd3f64da848935266a1b4a2be5",
+        "3bdd410a5b9619b3b1df5e3ecbb4461a543adda5",
+    ),
+    "heis": (
+        "a7d439b199cca290653328357d5aa84691e8add3",
+        "fa0a2f643abab9fe9d7ab073c278448e87e21d75",
+        "4494c400ce5994aaae3e894e1b3165862979550a",
+        "9ef56b8a0717c54382e64bce9c444476c3be6b22",
+    ),
+}
+
+
+def test_tables_frozen(z4, z2, heis):
+    for inst in (z4, z2, heis):
+        arrays = (np.asarray(inst.letters, dtype=np.int64), inst.act, inst.c_tab, inst.y_tab)
+        got = tuple(hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays)
+        assert got == TABLE_SHA1[inst.name]
+
+
+def test_unique_rows_matches_numpy():
+    rng = np.random.default_rng(11)
+    cases = [rng.integers(-9, 10, size=(n, d)) for n, d in ((1, 1), (500, 1), (3000, 2), (5000, 3))]
+    cases.append(rng.integers(-(2**40), 2**40, size=(200, 3)))  # keys past int64
+    for rows in cases:
+        uniq, inverse = _unique_rows(rows)
+        want_uniq, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert (uniq == want_uniq).all()
+        assert (inverse.reshape(-1) == want_inverse.reshape(-1)).all()
+
+
 def test_letters_closed_under_inversion(z4):
     with pytest.raises(ValueError):
         NilpotentInstance(z4.ops, [(0,), (1,)])
@@ -48,6 +105,32 @@ def test_letters_closed_under_inversion(z4):
 def test_parse_rejects_unknown(z4):
     with pytest.raises(UnknownLetter):
         z4.parse("aq")
+
+
+def test_parse_spellings_agree(heis):
+    want = heis.parse(list("ABabCe"))
+    for spelling in ("ABabCe", "A B a b C e", np.array(want, dtype=np.int32), list(want)):
+        assert (heis.parse(spelling) == want).all()
+    assert len(heis.parse("")) == len(heis.parse("-")) == 0
+    name = next(n for n in heis.letter_names if len(n) > 1)
+    assert heis.letter_names[heis.parse(name)[0]] == name
+
+
+def test_parse_names_first_bad_letter(heis):
+    for word, bad in (("abqzc", "q"), ("ab\u00e9c", "\u00e9"), ("a b q", "q"), ("a-", "-")):
+        with pytest.raises(UnknownLetter) as err:
+            heis.parse(word)
+        assert err.value.name == bad
+
+
+def test_integer_words_are_range_checked(z4):
+    for bad in (-1, z4.n_letters):
+        for word in (np.array([0, bad]), [0, bad]):
+            with pytest.raises(UnknownLetter):
+                z4.parse(word)
+            with pytest.raises(UnknownLetter):
+                solve_nilpotent(z4, word)
+    assert (z4.parse(np.array([z4.n_letters - 1], dtype=np.uint8)) == [z4.n_letters - 1]).all()
 
 
 # -------------------------------------------------------------------- tables

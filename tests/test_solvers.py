@@ -14,7 +14,7 @@ from autgrp import (
     solve_oracle,
     solve_polynomial,
 )
-from autgrp.errors import CertificateMismatch, NonTermination
+from autgrp.errors import BudgetExceeded, CertificateMismatch, NonTermination
 
 
 def test_accept_square(grig, grig_cert):
@@ -120,6 +120,14 @@ def test_oracle_solver(grig, adding):
     r = solve_oracle(adding, "a" * 8 + "A" * 8)
     assert r.accepted
     assert r.method == "oracle"
+
+
+def test_oracle_solver_budget(adding):
+    # a^40 acts trivially on the first levels, so its closure (a^20, a^10,
+    # a^5, ...) outgrows a three-word budget before the verdict is known
+    assert not solve_oracle(adding, "a" * 40).accepted
+    with pytest.raises(BudgetExceeded):
+        solve_oracle(adding, "a" * 40, budget=3)
 
 
 def test_auto_dispatch(grig, basilica, poly1, adding, flip):
