@@ -268,7 +268,9 @@ class ContractionCertificate:
     next block.  Tables above the eager budget stay lazy: entries are then
     computed through the Cayley ball on demand and memoized, and such
     certificates cannot be serialized.  Blocks containing identity letters
-    are never part of the enumerated table but are answered the same way.
+    are never part of the enumerated table but are answered the same way,
+    from a memo kept apart from the table, so solving never changes what
+    ``serialize_certificate`` writes.
     """
 
     def __init__(self, source, ctx: _ScanContext, mode: str, shrink_num: int, entries, eager: bool):
@@ -282,7 +284,9 @@ class ContractionCertificate:
         self.eager = eager
         self._ctx = ctx
         self._entries = entries if entries is not None else {}
+        self._memo = {}
         self.table_reads = 0
+        self.dense_table = None  # array form, built by the first vectorized solve
 
     @property
     def ball(self) -> CayleyBall:
@@ -301,14 +305,16 @@ class ContractionCertificate:
     def entry(self, word: Word, xcode: int) -> tuple[Word, int]:
         """Rewrite one block: (shortest section word, next branch code)."""
         self.table_reads += 1
-        key = (word, xcode)
-        hit = self._entries.get(key)
-        if hit is None:
-            codes = self._ctx.walk_word(word)
-            code = codes[xcode]
-            hit = (self._ctx.rep_of_code(code), self._ctx.branch_of_code(code))
-            self._entries[key] = hit
-        return hit
+        hit = self._entries.get((word, xcode)) if self.eager else None
+        if hit is not None:
+            return hit
+        # one walk gives every branch, so the memo keeps a word's whole row
+        row = self._memo.get(word)
+        if row is None:
+            ctx = self._ctx
+            row = tuple((ctx.rep_of_code(c), ctx.branch_of_code(c)) for c in ctx.walk_word(word))
+            self._memo[word] = row
+        return row[xcode]
 
     def tail_section(self, word, xcode: int) -> tuple[list[int], int]:
         """Literal section of a short tail (identity letters retained)."""
@@ -435,13 +441,7 @@ def load_certificate(text: str, A: MealyAutomaton, validate: bool = True,
     lines = [ln for ln in lines if ln]
     if not lines:
         raise AutomatonFormatError("empty certificate")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] not in MODES:
-        raise AutomatonFormatError("certificate header must be 'mode block power num/den'")
-    mode, block, power = head[0], int(head[1]), int(head[2])
-    num, _, den = head[3].partition("/")
-    lam = Fraction(int(num), int(den))
-    _validate_cell(block, power)
+    mode, block, power, lam = _parse_header(lines[0])
 
     ctx = _ScanContext(A, block, power, ball_budget)
     B = ctx.automaton
@@ -474,9 +474,50 @@ def load_certificate(text: str, A: MealyAutomaton, validate: bool = True,
         raise AutomatonFormatError(
             f"certificate has {len(entries)} entries; expected {expected}"
         )
+    if validate:
+        _check_header(ctx, mode, lam, entries)
     shrink = int(lam * block)
     cert = ContractionCertificate(A, ctx, mode, shrink, entries, eager=True)
     return cert
+
+
+def _parse_header(line: str) -> tuple[str, int, int, Fraction]:
+    head = line.split()
+    if len(head) != 4 or head[0] not in MODES:
+        raise AutomatonFormatError("certificate header must be 'mode block power num/den'")
+    mode = head[0]
+    num, _, den = head[3].partition("/")
+    try:
+        block, power = int(head[1]), int(head[2])
+        lam = Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError):
+        raise AutomatonFormatError(f"bad number in certificate header {line!r}") from None
+    _validate_cell(block, power)
+    if not 0 <= lam <= 1 or (lam == 1 and mode != "item2"):
+        raise AutomatonFormatError(f"shrink ratio {lam} out of range for mode {mode}")
+    return mode, block, power, lam
+
+
+def _check_header(ctx: _ScanContext, mode: str, lam: Fraction, entries) -> None:
+    """Recompute the mode predicate and the shrink ratio from the section
+    lengths of the (already validated) table; the header must state both."""
+    block = ctx.block
+    lengths: dict = {}
+    for (word, _), (out_word, _) in entries.items():
+        lengths.setdefault(word, []).append(len(out_word))
+    max_sec = max_sum = 0
+    for word in sorted(lengths):
+        ok, _ = _leaf_eval(mode, block, lengths[word])
+        if not ok:
+            names = ".".join(ctx.automaton.states[s] for s in word)
+            raise AutomatonFormatError(f"block {names} breaks the header's mode {mode}")
+        max_sec = max(max_sec, max(lengths[word]))
+        max_sum = max(max_sum, sum(lengths[word]))
+    shrink = max_sec if mode == "item1" else max_sum
+    if Fraction(shrink, block) != lam:
+        raise AutomatonFormatError(
+            f"header ratio {lam} does not match the table's ratio {Fraction(shrink, block)}"
+        )
 
 
 # ---- activity classification ----

@@ -8,13 +8,22 @@ certificate tables, and copies the branch tapes back as the next stage's
 tape.  Every symbol read or written on any simulated tape counts as one
 elementary step; those counts, not wall-clock time, are what the benchmark
 fitter consumes.
+
+Two engines run the stages and report identical counts: the Python loop
+here, over one list per segment, and the array engine of ``vectorized``,
+which runs each stage as numpy passes over the whole tape.  The array
+engine takes certificates whose table is dense over every block (and the
+reset-rule solver's literal sections) on tapes of at least
+``_VECTOR_MIN_LETTERS`` letters; everything else, lazy certificates
+included, stays on the Python loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .automata import MealyAutomaton, WordLike, inverse_closure
 from .contraction import ContractionCertificate
@@ -152,25 +161,117 @@ def mx_step(cert: ContractionCertificate, x: int, w: WordLike) -> tuple[str, ...
     return tuple(B.states[s] for s in out)
 
 
-def _run_stages(
-    A: MealyAutomaton,
-    cert: ContractionCertificate,
-    tape: TapeLike,
-    *,
-    strip: bool,
-    method: str,
-    cap: Optional[int] = None,
-    cap_kind: type = NonTermination,
-    reset_rule: bool = False,
-) -> StepReport:
-    _require_cert(A, cert)
-    if strip and cert.automaton.identity is None:
+class _LiteralSections:
+    """Block-1 rewriter read off the inverse closure's own transitions.
+
+    A letter's section on branch x is its next state, dropped when that is
+    the identity, and the branch it hands on is its output letter.  It drives
+    the reset-rule solver without a certificate through the same stage
+    engines as the certificate solvers.
+    """
+
+    block = 1
+
+    def __init__(self, A: MealyAutomaton):
+        ic = inverse_closure(A)
+        B = ic.automaton
+        ident = B.identity
+        self.closure = ic
+        self.automaton = B
+        self.branches = len(B.letters)
+        self.sections = [[(t,) if t != ident else () for t in row] for row in B._next]
+        self.outputs = B._out
+        self.table_reads = 0
+        self.dense_table = None
+
+    def entry(self, word, x: int) -> tuple[tuple[int, ...], int]:
+        self.table_reads += 1
+        s = word[0]
+        return self.sections[s][x], self.outputs[s][x]
+
+    def branch_perm_fixes_all(self, word) -> bool:
+        out = self.outputs
+        for x in range(self.branches):
+            cur = x
+            for s in word:
+                cur = out[s][cur]
+            if cur != x:
+                return False
+        return True
+
+
+@functools.lru_cache(maxsize=32)
+def _literal_sections(A: MealyAutomaton) -> _LiteralSections:
+    return _LiteralSections(A)
+
+
+class _Rules(NamedTuple):
+    """What differs between the solvers that share the stage engines.
+
+    ``cap`` maps the input length to the stage cap.  ``perm_scan`` charges
+    the branch-permutation check a tape scan of its own; the reset-rule
+    solver without a certificate folds it into the first scan.
+    """
+
+    method: str
+    strip: bool
+    cap: Callable[[int], int]
+    detail: tuple = ()
+    cap_kind: type = NonTermination
+    reset_rule: bool = False
+    perm_scan: bool = True
+
+    def report(self, verdict, n, steps, stages, stage_tape, stage_maxseg, cap) -> StepReport:
+        detail = {**dict(self.detail), "stage_cap": cap}
+        return StepReport(
+            self.method, verdict, n, steps, stages, tuple(stage_tape), tuple(stage_maxseg), detail
+        )
+
+
+# Below this many letters a stage is cheaper as Python lists than as a
+# fixed sequence of numpy calls; the two cross near 256 letters for the
+# catalog certificates.  Short words (certificate search, the CLI's
+# examples) therefore never load the array engine or build a dense table.
+_VECTOR_MIN_LETTERS = 256
+
+
+def _run_stages(rw, rules: _Rules, tape: TapeLike) -> StepReport:
+    """Pick the engine: the array engine for dense tables on tapes of at
+    least ``_VECTOR_MIN_LETTERS`` letters, the Python loop otherwise."""
+    if rules.strip and rw.automaton.identity is None:
         raise NoIdentityState("identity-letter removal needs an identity state")
-    segments = _parse_tape(cert.closure.parse, tape)
+    segments = None
+    if not (isinstance(tape, str) and len(tape) < _VECTOR_MIN_LETTERS):
+        from . import vectorized
+
+        table = vectorized.dense_table(rw)
+        if table is not None:
+            letters, lens = table.parse(tape)
+            if len(letters) >= _VECTOR_MIN_LETTERS:
+                return vectorized.run_stages(rw, table, letters, lens, rules)
+            segments = _split(letters, lens)
+    if segments is None:
+        segments = _parse_tape(rw.closure.parse, tape)
+    return _python_stages(rw, segments, rules)
+
+
+def _split(letters, lens) -> list[list[int]]:
+    """Python segments of a letter array and its segment lengths."""
+    flat = letters.tolist()
+    segments = []
+    i = 0
+    for n in lens.tolist():
+        segments.append(flat[i : i + n])
+        i += n
+    return segments
+
+
+def _python_stages(rw, segments: list[list[int]], rules: _Rules) -> StepReport:
+    """The stage loop, one Python list per segment and branch."""
     n = sum(len(s) for s in segments)
-    cap = _contracting_cap(cert, n, cap)
-    L = cert.block
-    branches = cert.branches
+    cap = rules.cap(n)
+    L = rw.block
+    branches = rw.branches
 
     steps = 0
     stages = 0
@@ -185,14 +286,14 @@ def _run_stages(
             verdict = True
             break
         if stages > cap:
-            raise cap_kind(stages, cap)
+            raise rules.cap_kind(stages, cap)
 
         # short segments: decide by ball walk, never by the block tables
         steps += total
         keep = []
         for seg in segments:
             if len(seg) < L:
-                if not cert.is_trivial_short(seg):
+                if not rw.is_trivial_short(seg):
                     verdict = False
                     break
             else:
@@ -204,8 +305,9 @@ def _run_stages(
             break
 
         # branch permutations must all be trivial
-        steps += sum(len(s) for s in keep)
-        if any(not cert.branch_perm_fixes_all(seg) for seg in keep):
+        if rules.perm_scan:
+            steps += sum(len(s) for s in keep)
+        if any(not rw.branch_perm_fixes_all(seg) for seg in keep):
             verdict = False
             break
 
@@ -215,8 +317,8 @@ def _run_stages(
         branch_tapes: list[list[list[int]]] = [[] for _ in range(branches)]
         for seg in keep:
             for x in range(branches):
-                out = _mx(cert, seg, x, strip)
-                if reset_rule and out == seg:
+                out = _mx(rw, seg, x, rules.strip)
+                if rules.reset_rule and out == seg:
                     out = []
                 steps += len(out) + 1
                 if out:
@@ -226,21 +328,40 @@ def _run_stages(
         segments = [o for tape_x in branch_tapes for o in tape_x]
         stages += 1
 
-    return StepReport(
-        method,
-        verdict,
-        n,
-        steps,
-        stages,
-        tuple(stage_tape),
-        tuple(stage_maxseg),
-        {
-            "mode": cert.mode,
-            "block": cert.block,
-            "power": cert.power,
-            "stage_cap": cap,
-        },
-    )
+    return rules.report(verdict, n, steps, stages, stage_tape, stage_maxseg, cap)
+
+
+def _polynomial_cap(n: int, degree: int, override: Optional[int]) -> int:
+    if override is not None:
+        return override
+    return math.ceil(4 * (math.log2(max(n, 2)) + 1) ** (degree + 1))
+
+
+def _plan(
+    A: MealyAutomaton,
+    method: str,
+    cert: Optional[ContractionCertificate] = None,
+    degree: int = 0,
+    stage_cap: Optional[int] = None,
+) -> tuple:
+    """The rewriter and the rules of one solver: ``contracting``,
+    ``bounded``, or ``polynomial`` with or without a certificate."""
+    if method == "polynomial":
+        cap = functools.partial(_polynomial_cap, degree=degree, override=stage_cap)
+        if cert is None:
+            if inverse_closure(A).automaton.identity is None:
+                raise NoIdentityState("the reset-rule solver needs an identity state")
+            rules = _Rules(
+                method, True, cap, (("degree", degree),), StageGuardExceeded, True, perm_scan=False
+            )
+            return _literal_sections(A), rules
+        kind, reset = StageGuardExceeded, True
+    else:
+        cap = functools.partial(_contracting_cap, cert, override=stage_cap)
+        kind, reset = NonTermination, False
+    _require_cert(A, cert)
+    detail = (("mode", cert.mode), ("block", cert.block), ("power", cert.power))
+    return cert, _Rules(method, method != "contracting", cap, detail, kind, reset)
 
 
 def solve_contracting(
@@ -250,7 +371,7 @@ def solve_contracting(
     stage_cap: Optional[int] = None,
 ) -> StepReport:
     """Certificate-driven staged rewriting; identity letters survive in tails."""
-    return _run_stages(A, cert, tape, strip=False, method="contracting", cap=stage_cap)
+    return _run_stages(*_plan(A, "contracting", cert, stage_cap=stage_cap), tape)
 
 
 def solve_bounded(
@@ -261,13 +382,7 @@ def solve_bounded(
 ) -> StepReport:
     """Contracting run that strips identity letters from every rewrite,
     keeping the tape near the count of genuinely active letters."""
-    return _run_stages(A, cert, tape, strip=True, method="bounded", cap=stage_cap)
-
-
-def _polynomial_cap(n: int, degree: int, override: Optional[int]) -> int:
-    if override is not None:
-        return override
-    return math.ceil(4 * (math.log2(max(n, 2)) + 1) ** (degree + 1))
+    return _run_stages(*_plan(A, "bounded", cert, stage_cap=stage_cap), tape)
 
 
 def solve_polynomial(
@@ -292,93 +407,7 @@ def solve_polynomial(
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if cert is not None:
-        _require_cert(A, cert)
-        n = sum(len(s) for s in _parse_tape(cert.closure.parse, tape))
-        return _run_stages(
-            A,
-            cert,
-            tape,
-            strip=True,
-            method="polynomial",
-            cap=_polynomial_cap(n, degree, stage_cap),
-            cap_kind=StageGuardExceeded,
-            reset_rule=True,
-        )
-
-    ic = inverse_closure(A)
-    B = ic.automaton
-    if B.identity is None:
-        raise NoIdentityState("the reset-rule solver needs an identity state")
-    ident = B.identity
-    nxt, out = B._next, B._out
-    m = len(B.letters)
-    segments = _parse_tape(ic.parse, tape)
-    n = sum(len(s) for s in segments)
-    cap = _polynomial_cap(n, degree, stage_cap)
-
-    steps = 0
-    stages = 0
-    stage_tape = []
-    stage_maxseg = []
-    verdict = None
-    while True:
-        total = sum(len(s) for s in segments) + max(0, len(segments) - 1)
-        stage_tape.append(total)
-        stage_maxseg.append(max((len(s) for s in segments), default=0))
-        if not segments:
-            verdict = True
-            break
-        if stages > cap:
-            raise StageGuardExceeded(stages, cap)
-
-        steps += total
-        bad = False
-        for seg in segments:
-            for x in range(m):
-                cur = x
-                for s in seg:
-                    cur = out[s][cur]
-                if cur != x:
-                    bad = True
-                    break
-            if bad:
-                break
-        if bad:
-            verdict = False
-            break
-
-        steps += sum(len(s) for s in segments)
-        branch_tapes: list[list[list[int]]] = [[] for _ in range(m)]
-        for seg in segments:
-            for x in range(m):
-                sec = []
-                cur = x
-                for s in seg:
-                    t = nxt[s][cur]
-                    cur = out[s][cur]
-                    if t != ident:
-                        sec.append(t)
-                if sec == seg:
-                    sec = []
-                steps += len(sec) + 1
-                if sec:
-                    branch_tapes[x].append(sec)
-        copied = sum(sum(len(o) + 1 for o in tape_x) for tape_x in branch_tapes)
-        steps += 2 * copied
-        segments = [o for tape_x in branch_tapes for o in tape_x]
-        stages += 1
-
-    return StepReport(
-        "polynomial",
-        verdict,
-        n,
-        steps,
-        stages,
-        tuple(stage_tape),
-        tuple(stage_maxseg),
-        {"degree": degree, "stage_cap": cap},
-    )
+    return _run_stages(*_plan(A, "polynomial", cert, degree, stage_cap), tape)
 
 
 def solve_oracle(A: MealyAutomaton, tape: TapeLike, budget: int = DEFAULT_ORACLE_BUDGET) -> StepReport:

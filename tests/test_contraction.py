@@ -164,3 +164,48 @@ def test_loopify_flattens_cycles(grig, basilica, poly1):
 def test_loopify_rejects_exponential(flip):
     with pytest.raises(NotPolynomial):
         loopify(flip)
+
+
+def test_round_trip_after_solving(grig):
+    # solving rewrites blocks holding the identity letter; they are memoized
+    # apart from the table, so the file keeps its 32 identity-free entries
+    from autgrp import solve_contracting
+
+    cert = build_certificate(grig, 2, 1, "item1")
+    before = serialize_certificate(cert)
+    solve_contracting(grig, cert, "eeab")
+    solve_contracting(grig, cert, "aebe" * 8)
+    text = serialize_certificate(cert)
+    assert text == before
+    assert len(text.splitlines()) == 1 + 32
+    assert serialize_certificate(load_certificate(text, grig)) == text
+
+
+def _with_header(cert, header):
+    lines = serialize_certificate(cert).splitlines()
+    return "\n".join([header] + lines[1:]) + "\n"
+
+
+def test_load_recomputes_the_header(basilica):
+    weak = build_certificate(basilica, 1, 1, "item2")
+    assert serialize_certificate(weak).splitlines()[0] == "item2 1 1 1/1"
+    # the weak table claimed as a per-section shrink: 'a' keeps length 1
+    with pytest.raises(AutomatonFormatError, match="mode item1"):
+        load_certificate(_with_header(weak, "item1 1 1 0/1"), basilica)
+    with pytest.raises(AutomatonFormatError, match="ratio"):
+        load_certificate(_with_header(weak, "item2 1 1 1/2"), basilica)
+    strong = build_certificate(basilica, 3, 2, "item1")
+    with pytest.raises(AutomatonFormatError, match="ratio"):
+        load_certificate(_with_header(strong, "item1 3 2 1/3"), basilica)
+    back = load_certificate(serialize_certificate(strong), basilica)
+    assert back.shrink_ratio == Fraction(2, 3)
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["item2 1 1 1/0", "item2 x 1 1/1", "item2 1 1 abc", "item2 1 1 1", "item2 1 y 1/1", "item2 1 1 3/2"],
+)
+def test_malformed_header_numbers(basilica, header):
+    weak = build_certificate(basilica, 1, 1, "item2")
+    with pytest.raises(AutomatonFormatError):
+        load_certificate(_with_header(weak, header), basilica, validate=False)

@@ -1,0 +1,274 @@
+"""The array stage engine against the Python stage loop.
+
+Both engines are called directly, without the length switch of
+``_run_stages``, on the same parsed tapes: their ``StepReport``s must agree
+in every field, and so must the table reads they add to the rewriter.
+"""
+
+import itertools
+import os
+import random
+import re
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import autgrp
+from autgrp import TapeWord, build_certificate, load_certificate, serialize_certificate
+from autgrp import solvers as S
+from autgrp import vectorized as V
+from autgrp.errors import NonTermination, StageGuardExceeded, UnknownLetter
+
+INVERSE = str.maketrans("abAB", "ABab")
+GRIG_RELATORS = ("aa", "bb", "cc", "dd", "bcd", "cbd", "ad" * 4, "ac" * 8, "ab" * 16)
+
+
+def run_engine(engine, rw, rules, tape):
+    """(report or (error type, message), table reads added)."""
+    before = rw.table_reads
+    try:
+        if engine == "python":
+            result = S._python_stages(rw, S._parse_tape(rw.closure.parse, tape), rules)
+        else:
+            table = V.dense_table(rw)
+            result = V.run_stages(rw, table, *table.parse(tape), rules)
+    except NonTermination as exc:
+        result = (type(exc), str(exc))
+    return result, rw.table_reads - before
+
+
+def assert_engines_agree(plan, tape):
+    rw, rules = plan
+    py = run_engine("python", rw, rules, tape)
+    vec = run_engine("vector", rw, rules, tape)
+    assert py == vec, tape
+    return py[0]
+
+
+def grig_trivial(rng, n, letters="abcd"):
+    parts = []
+    while sum(map(len, parts)) < n:
+        g = "".join(rng.choices(letters, k=rng.randint(0, 6)))
+        parts.append(g + rng.choice(GRIG_RELATORS) + g[::-1])
+    return "".join(parts)
+
+
+def free_trivial(rng, n, letters="abAB"):
+    u = "".join(rng.choices(letters, k=n // 2))
+    return u + u[::-1].translate(INVERSE)
+
+
+def random_tape(rng, make, lengths, max_segments=3):
+    return "#".join(make(rng, rng.choice(lengths)) for _ in range(rng.randint(1, max_segments)))
+
+
+@pytest.fixture(scope="module")
+def plans(grig, basilica, poly1, grig_cert, basilica_cert, basilica_weak_cert):
+    return {
+        "grig-contracting": S._plan(grig, "contracting", grig_cert),
+        "grig-bounded": S._plan(grig, "bounded", grig_cert),
+        "grig-polynomial": S._plan(grig, "polynomial", grig_cert, 0),
+        "bas-bounded": S._plan(basilica, "bounded", basilica_cert),
+        "bas-contracting": S._plan(basilica, "contracting", basilica_cert),
+        "bas-polynomial": S._plan(basilica, "polynomial", basilica_cert, 0),
+        "bas-weak": S._plan(basilica, "bounded", basilica_weak_cert),
+        "poly1": S._plan(poly1, "polynomial", None, 1),
+    }
+
+
+def test_solver_corpora(plans):
+    words = ("aa", "a", "cdb", "cd#b", "a#b#c", "ab" * 16, "ab" * 8, "adad", "bcd", "")
+    for name in ("grig-contracting", "grig-bounded", "grig-polynomial"):
+        for w in words:
+            assert_engines_agree(plans[name], w)
+    for w in ("aabBAA", "ABba", "ab", "ab" * 24, "aA"):
+        for name in ("bas-bounded", "bas-contracting", "bas-weak"):
+            assert_engines_agree(plans[name], w)
+    for w in ("BbAa", "bb", "babA" * 8):
+        assert_engines_agree(plans["poly1"], w)
+
+
+def test_grigorchuk_exhaustive_short_words(plans):
+    for n in range(6):
+        for tup in itertools.product("abcde", repeat=n):
+            w = "".join(tup)
+            assert_engines_agree(plans["grig-contracting"], w)
+            assert_engines_agree(plans["grig-bounded"], w)
+
+
+def test_random_tapes_both_sides_of_the_cutoff(plans):
+    cut = S._VECTOR_MIN_LETTERS
+    lengths = (1, 3, 7, 30, cut // 2, cut - 1, cut, cut + 1, 3 * cut)
+    rng = random.Random(20261018)
+    results = []
+    for _ in range(12):
+        for name in ("grig-contracting", "grig-bounded", "grig-polynomial"):
+            tape = random_tape(rng, grig_trivial, lengths)
+            results.append(assert_engines_agree(plans[name], tape))
+            tape = random_tape(rng, lambda r, n: "".join(r.choices("abcde", k=n)), lengths)
+            results.append(assert_engines_agree(plans[name], tape))
+        for name in ("bas-bounded", "bas-contracting", "bas-polynomial", "bas-weak"):
+            tape = random_tape(rng, lambda r, n: free_trivial(r, n, "abABe"), lengths)
+            results.append(assert_engines_agree(plans[name], tape))
+            tape = random_tape(rng, lambda r, n: "".join(r.choices("abABe", k=n)), lengths)
+            results.append(assert_engines_agree(plans[name], tape))
+        tape = random_tape(rng, lambda r, n: free_trivial(r, n, "abABe"), lengths)
+        results.append(assert_engines_agree(plans["poly1"], tape))
+        tape = random_tape(rng, lambda r, n: "babA" * (n // 4 + 1), lengths)
+        results.append(assert_engines_agree(plans["poly1"], tape))
+    verdicts = {r.verdict for r in results if isinstance(r, S.StepReport)}
+    assert verdicts == {True, False}
+
+
+def test_input_forms(plans):
+    rng = random.Random(7)
+    w = grig_trivial(rng, 400, "abcde")
+    rw, rules = plans["grig-bounded"]
+    forms = (
+        w,
+        "#".join([w[:150], "", w[150:]]),
+        " ".join(w),
+        TapeWord([list(w[:200]), [], list(w[200:])]),
+        list(w),
+        [rw.closure.parse(ch)[0] for ch in w],
+        np.array([rw.closure.parse(ch)[0] for ch in w]),
+    )
+    for tape in forms:
+        assert_engines_agree(plans["grig-bounded"], tape)
+        assert_engines_agree(plans["grig-contracting"], tape)
+    # every form reaches the same tape
+    table = V.dense_table(rw)
+    letters = table.parse(w)[0]
+    for tape in forms[2:3] + forms[4:]:
+        assert np.array_equal(table.parse(tape)[0], letters)
+
+
+def test_stage_caps_raise_alike(basilica, basilica_weak_cert, poly1):
+    # aA cycles to bB and back under the weak certificate
+    for w in ("aA", "aA" * 200):
+        rw, rules = S._plan(basilica, "bounded", basilica_weak_cert)
+        py, vec = (run_engine(e, rw, rules, w)[0] for e in ("python", "vector"))
+        assert py == vec and py[0] is NonTermination
+    rw, rules = S._plan(poly1, "polynomial", None, 1, stage_cap=1)
+    for w in ("BbAa", "BbAa" * 80):
+        py, vec = (run_engine(e, rw, rules, w)[0] for e in ("python", "vector"))
+        assert py == vec and py[0] is StageGuardExceeded
+        with pytest.raises(StageGuardExceeded, match=re.escape(py[1])):
+            S.solve_polynomial(poly1, 1, w, stage_cap=1)
+
+
+def test_unknown_letter_messages(grig, grig_cert, poly1):
+    rw, rules = S._plan(grig, "bounded", grig_cert)
+    for w in ("abz", "ab" * 200 + "z" + "c" * 10, "ab" * 200 + "#a b#", "ab" * 200 + "é"):
+        messages = set()
+        for solve in (
+            lambda: S.solve_bounded(grig, grig_cert, w),
+            lambda: S.solve_contracting(grig, grig_cert, w),
+            lambda: run_engine("python", rw, rules, w),
+            lambda: run_engine("vector", rw, rules, w),
+        ):
+            try:
+                solve()
+            except UnknownLetter as exc:
+                messages.add(str(exc))
+        if "z" in w or "é" in w:
+            assert len(messages) == 1, messages
+        else:
+            assert not messages  # whitespace inside a segment still parses
+    with pytest.raises(UnknownLetter, match="'z'"):
+        S.solve_polynomial(poly1, 1, "babA" * 100 + "z")
+
+
+def test_public_solvers_pick_the_engine_by_length(grig, grig_cert):
+    rng = random.Random(3)
+    for n in (8, S._VECTOR_MIN_LETTERS - 1, S._VECTOR_MIN_LETTERS, 700):
+        w = grig_trivial(rng, n)[:n]
+        rw, rules = S._plan(grig, "bounded", grig_cert)
+        want = run_engine("python", rw, rules, w)[0]
+        assert S.solve_bounded(grig, grig_cert, w) == want
+
+
+def test_unvalidated_certificate_rewrites_as_it_reads(grig):
+    # a table whose entries are loaded unchecked is rewritten from its
+    # entries by both engines, not from the ball
+    cert = build_certificate(grig, 2, 1, "item1")
+    lines = serialize_certificate(cert).splitlines()
+    edited = [ln.replace("-> c", "-> d.b") if ln.startswith("sect: a.b 0 ") else ln for ln in lines]
+    assert edited != lines
+    loose = load_certificate("\n".join(edited), grig, validate=False)
+    assert S.mx_step(loose, 0, "ab") == ("d", "b")
+    rng = random.Random(5)
+    for method in ("bounded", "contracting"):
+        plan = S._plan(grig, method, loose)
+        for _ in range(6):
+            assert_engines_agree(plan, "".join(rng.choices("abcd", k=300)))
+        assert_engines_agree(plan, "ab" * 150)
+
+
+def test_dense_table_lives_on_its_certificate(basilica):
+    # each fresh certificate builds its own table: nothing is keyed by id()
+    w = "ab" * 200
+    reports = []
+    for block, power, mode in ((1, 1, "item2"), (3, 2, "item1"), (1, 1, "item2")):
+        cert = build_certificate(basilica, block, power, mode)
+        assert cert.dense_table is None
+        reports.append(S.solve_bounded(basilica, cert, w))
+        assert cert.dense_table.block == block
+        del cert
+    assert reports[0] == reports[2]
+    assert reports[0].detail["block"] == 1 and reports[1].detail["block"] == 3
+
+
+MALLOC_ENV = V._MALLOC_ENV + ("GLIBC_TUNABLES",)
+ON_GLIBC = bool(getattr(os, "confstr", lambda name: None)("CS_GNU_LIBC_VERSION"))
+
+
+@pytest.mark.skipif(not ON_GLIBC, reason="malloc thresholds are set on glibc only")
+def test_repeated_long_solves_reuse_freed_arrays():
+    # every stage frees the previous tape; once a word has been solved,
+    # solving it again must not take fresh pages from the kernel
+    code = (
+        "import resource\n"
+        "from autgrp import catalog, solve_polynomial\n"
+        "A = catalog.get('poly1')\n"
+        "w = 'babA' * 2**11\n"
+        "for _ in range(3): solve_polynomial(A, 1, w)\n"
+        "f = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(5): solve_polynomial(A, 1, w)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f)\n"
+    )
+    src = os.path.dirname(os.path.dirname(autgrp.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in MALLOC_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    # about 4000 with glibc's dynamic thresholds
+    assert int(done.stdout) < 200
+
+
+def test_malloc_settings_of_the_environment_win(monkeypatch):
+    calls = []
+
+    class FakeLibc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+
+    monkeypatch.setattr(V.ctypes, "CDLL", lambda name: FakeLibc())
+    monkeypatch.setattr(V.os, "confstr", lambda name: "glibc 2.36", raising=False)
+    for var in MALLOC_ENV:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in (("MALLOC_TRIM_THRESHOLD_", "0"), ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=0")):
+        monkeypatch.setenv(var, value)
+        V._keep_freed_arrays()
+        monkeypatch.delenv(var)
+    assert calls == []
+    V._keep_freed_arrays()
+    assert calls == [(V._M_TRIM_THRESHOLD, 64 << 20), (V._M_MMAP_THRESHOLD, 32 << 20)]
+
+
+def test_prefix_parity_across_byte_boundaries():
+    rng = np.random.default_rng(7)
+    for n in (1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000):
+        flags = rng.integers(0, 2, n).astype(np.uint8)
+        assert V._prefix_parity(flags).tolist() == np.bitwise_xor.accumulate(flags).tolist(), n
