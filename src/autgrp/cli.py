@@ -16,16 +16,6 @@ from typing import Optional
 
 from . import catalog
 from .automata import apply, minimize, section_of_word, serialize_automaton
-from .bench import (
-    DEFAULT_MODELS,
-    FAMILIES,
-    csv_text,
-    bench_report,
-    fit_complexity,
-    lower_bound_curve,
-    report_json,
-    run_bench,
-)
 from .contraction import (
     MODES,
     build_certificate,
@@ -34,7 +24,6 @@ from .contraction import (
     classify_activity,
 )
 from .errors import AutgrpError, CertificateNotFound
-from .nilpotent import build_instance, solve_nilpotent, verify_table_closure
 from .solvers import (
     best_certificate,
     solve_auto,
@@ -47,6 +36,21 @@ from .words import growth, is_identity_oracle
 
 GROUPS = ("z4", "z2", "heis")
 METHODS = ("oracle", "contracting", "bounded", "polynomial", "nilpotent", "auto")
+
+
+class _FamilyNames:
+    """``--family`` choices, read from ``bench`` (which loads numpy) only when
+    a bench command is parsed or its help is printed."""
+
+    def __contains__(self, name):
+        from .bench import FAMILIES
+
+        return name in FAMILIES
+
+    def __iter__(self):
+        from .bench import FAMILIES
+
+        return iter(sorted(FAMILIES))
 
 
 def _automaton_arg(p, required=True):
@@ -112,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _report_arg(p, kinds=("csv", "json"))
 
     p = sub.add_parser("bench", help="run a benchmark family")
-    p.add_argument("--family", choices=sorted(FAMILIES), required=True)
+    p.add_argument("--family", choices=_FamilyNames(), required=True, metavar="FAMILY", help="one of %(choices)s")
     p.add_argument("--m-lo", type=int, default=None)
     p.add_argument("--m-hi", type=int, default=None, help="inclusive upper index")
     p.add_argument("--seed", type=int, default=0)
@@ -121,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit complexity models to a bench CSV")
     p.add_argument("--input", required=True, help="CSV from the bench subcommand")
-    p.add_argument("--models", default=",".join(DEFAULT_MODELS), help="comma-separated model names")
+    p.add_argument("--models", default=None, help="comma-separated model names (default: n, n log n, n log^2 n, n^2)")
     _report_arg(p)
 
     p = sub.add_parser("selftest", help="exhaustive small-scale agreement suites")
@@ -191,8 +195,9 @@ def _cmd_solve(args) -> int:
     if args.group is not None:
         if args.method not in ("nilpotent", "auto"):
             raise UsageError(f"--group only supports --method nilpotent, not {args.method}")
-        inst = build_instance(args.group)
-        rep = solve_nilpotent(inst, word)
+        from .nilpotent import build_instance, solve_nilpotent
+
+        rep = solve_nilpotent(build_instance(args.group), word)
     else:
         A = catalog.load(args.automaton)
         method = args.method
@@ -258,6 +263,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_growth(args) -> int:
+    from .bench import csv_text, lower_bound_curve
+
     A = catalog.load(args.automaton)
     gt = growth(A, args.radius)
     curve = lower_bound_curve(gt, range(args.radius + 1))
@@ -272,6 +279,8 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import FAMILIES, bench_report, csv_text, fit_complexity, report_json, run_bench
+
     fam = FAMILIES[args.family]
     lo = args.m_lo if args.m_lo is not None else fam.default_range.start
     hi = args.m_hi if args.m_hi is not None else fam.default_range.stop - 1
@@ -291,6 +300,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .bench import fit_complexity
+
     rows = []
     with open(args.input, encoding="utf-8") as fh:
         for line in fh:
@@ -302,7 +313,7 @@ def _cmd_fit(args) -> int:
                 rows.append(tuple(int(float(p)) for p in parts))
             except ValueError:
                 continue  # header row
-    models = tuple(m.strip() for m in args.models.split(",") if m.strip())
+    models = None if args.models is None else tuple(m.strip() for m in args.models.split(",") if m.strip())
     fit = fit_complexity(rows, models)
     _emit(
         args,
@@ -313,6 +324,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .nilpotent import build_instance, solve_nilpotent, verify_table_closure
+
     failures = 0
 
     def suite(name, ok):

@@ -8,11 +8,12 @@ same length; that fixed length is what makes the closure finite.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
 from .automata import MealyAutomaton, Word, WordLike, inverse_closure
-from .errors import BudgetExceeded, NotInBall
+from .errors import AutomatonFormatError, BudgetExceeded, NotInBall
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
 DEFAULT_BALL_BUDGET = 1_000_000
@@ -166,40 +167,91 @@ def canonical_key(A: MealyAutomaton, w: WordLike, budget: int = DEFAULT_ORACLE_B
     numbered breadth-first from the root so the result is deterministic.
     """
     word = A.parse_word(w)
-    words, children, perms = _closure_scan(A, word, budget, collect=True)
-    n = len(words)
-    m = len(A.letters)
+    _, children, perms = _closure_scan(A, word, budget, collect=True)
+    return _minimal_keys(len(A.letters), children, perms, (0,))[0]
 
+
+def _minimal_keys(m: int, children: list, perms: list, roots: Iterable[int]) -> list:
+    """Key of each root's transformation in a transducer whose every state is
+    reachable from a root: Moore refinement merges states of equal behavior,
+    then each root's classes are numbered breadth-first from its own.
+
+    ``children[i][x]`` is state i's next state at letter x and ``perms[i]``
+    its output images.  The minimal transducer of a transformation is unique
+    up to isomorphism, so any transducer of it gives the same key.
+    """
+    n = len(children)
     ids = {}
-    cls = [ids.setdefault(perms[i], len(ids)) for i in range(n)]
+    cls = [ids.setdefault(p, len(ids)) for p in perms]
     count = len(ids)
-    while True:
-        ids = {}
-        cls = [ids.setdefault((cls[i], tuple(cls[j] for j in children[i])), len(ids)) for i in range(n)]
-        if len(ids) == count:
-            break
-        count = len(ids)
+    if count < n:
+        # one signature per state and round: its class and its children's
+        getters = [itemgetter(*row) for row in children]
+        while True:
+            ids = {}
+            cls = [ids.setdefault((c, get(cls)), len(ids)) for c, get in zip(cls, getters)]
+            if len(ids) == count:
+                break
+            count = len(ids)
 
-    rep = {}
-    for i in range(n):
-        rep.setdefault(cls[i], i)
-    order = {cls[0]: 0}
-    queue = [cls[0]]
-    qi = 0
-    while qi < len(queue):
-        c = queue[qi]
-        qi += 1
-        for j in children[rep[c]]:
-            cj = cls[j]
-            if cj not in order:
-                order[cj] = len(order)
-                queue.append(cj)
-    flat = [m]
-    for c in queue:
-        i = rep[c]
-        flat.extend(order[cls[j]] for j in children[i])
-        flat.extend(perms[i])
-    return tuple(flat)
+    rep = dict(zip(cls, range(n)))  # any member stands for its class
+    keys = []
+    for root in roots:
+        order = {cls[root]: 0}
+        queue = [cls[root]]
+        flat = [m]
+        for c in queue:  # grows while it is walked
+            i = rep[c]
+            for j in children[i]:
+                cj = cls[j]
+                k = order.get(cj)
+                if k is None:
+                    k = order[cj] = len(queue)
+                    queue.append(cj)
+                flat.append(k)
+            flat += perms[i]
+        keys.append(tuple(flat))
+    return keys
+
+
+def _times_states(A: MealyAutomaton, key: tuple, gens: Sequence[int]) -> list:
+    """Keys of h*g (h acts first) for each state g in ``gens``, from h's key.
+
+    The key lays out h's minimal transducer: class c has its children at
+    ``key[1+2mc : 1+2mc+m]`` and its images in the next m entries.  In the
+    product with A, state (c, q) at letter x goes to (child_c[x], q's next
+    state at perm_c[x]) and outputs q's output at perm_c[x].  The product is
+    explored breadth-first from every root (0, g) at once and minimized
+    once, so the generators share the pairs they reach.
+    """
+    m = key[0]
+    nxt, out = A._next, A._out
+    S = len(nxt)
+    index = {}  # pair (c, q) as c*S + q; class 0 is h's root
+    pairs = []
+    for g in gens:
+        if g not in index:
+            index[g] = len(pairs)
+            pairs.append(g)
+    roots = [index[g] for g in gens]
+    children = []
+    perms = []
+    for p in pairs:  # grows while it is walked
+        c, q = divmod(p, S)
+        base = 1 + 2 * m * c
+        perm = key[base + m : base + 2 * m]
+        nq = nxt[q]
+        row = []
+        for kid, y in zip(key[base : base + m], perm):
+            pair = kid * S + nq[y]
+            j = index.get(pair)
+            if j is None:
+                j = index[pair] = len(pairs)
+                pairs.append(pair)
+            row.append(j)
+        children.append(row)
+        perms.append(tuple(map(out[q].__getitem__, perm)))
+    return _minimal_keys(m, children, perms, roots)
 
 
 # ---- balls and growth ----
@@ -255,40 +307,38 @@ def _nontrivial_states(A: MealyAutomaton) -> list[int]:
 
 @functools.lru_cache(maxsize=16)
 def cayley_ball(A: MealyAutomaton, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> CayleyBall:
-    """Breadth-first ball over the nontrivial states as generators."""
+    """Breadth-first ball over the nontrivial states as generators.  The keys
+    of an element's neighbours are composed from its own key."""
+    if radius < 0:
+        raise AutomatonFormatError(f"radius must be >= 0, got {radius}")
     gens = _nontrivial_states(A)
     root = canonical_key(A, ())
     keys = {root: 0}
+    elements = [root]  # index -> key
     reps = [()]
     length = [0]
-    edges = []
+    edges = [None]
     frontier = [0]
     for dist in range(1, radius + 1):
         new_frontier = []
         for i in frontier:
+            rep = reps[i]
             row = []
-            for g in gens:
-                cand = reps[i] + (g,)
-                key = canonical_key(A, cand)
+            for g, key in zip(gens, _times_states(A, elements[i], gens)):
                 j = keys.get(key)
                 if j is None:
                     j = len(reps)
                     if j >= budget:
                         raise BudgetExceeded(budget, "ball BFS")
                     keys[key] = j
-                    reps.append(cand)
+                    elements.append(key)
+                    reps.append(rep + (g,))
                     length.append(dist)
+                    edges.append(None)
                     new_frontier.append(j)
                 row.append(j)
-            while len(edges) < i:
-                edges.append(None)
-            if len(edges) == i:
-                edges.append(tuple(row))
-            else:
-                edges[i] = tuple(row)
+            edges[i] = tuple(row)
         frontier = new_frontier
-    while len(edges) < len(reps):
-        edges.append(None)
     return CayleyBall(A, tuple(gens), radius, keys, reps, length, edges)
 
 

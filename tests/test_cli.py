@@ -284,3 +284,48 @@ def test_selftest(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 5
     assert all(line.startswith("ok") for line in lines)
+
+
+def test_import_and_solve_load_no_numpy():
+    # numpy is for the nilpotent groups and the bench fitter; a fresh process
+    # that imports the CLI and solves an automaton word never loads it
+    src = os.path.dirname(os.path.dirname(autgrp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import sys, autgrp.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "rc = autgrp.cli.cli_main(['solve', '--automaton', 'grigorchuk', '--word', 'cdb'])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[1].startswith("accept")
+    assert lines[2] == "0 False"
+
+
+def test_lazy_modules_serve_their_names():
+    from autgrp.bench import FAMILIES
+    from autgrp.nilpotent import build_instance
+
+    assert autgrp.build_instance is build_instance
+    assert autgrp.nilpotent.build_instance is build_instance
+    assert autgrp.FAMILIES is FAMILIES
+    assert {"build_instance", "FAMILIES"} <= set(autgrp.__all__) <= set(dir(autgrp))
+    with pytest.raises(AttributeError):
+        getattr(autgrp, "no_such_name")
+
+
+def test_fit_help_names_default_models(capsys):
+    from autgrp.bench import DEFAULT_MODELS
+
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["fit", "--help"])
+    assert exc.value.code == 0
+    assert ", ".join(DEFAULT_MODELS) in " ".join(capsys.readouterr().out.split())
+
+
+def test_growth_negative_radius_exits_2(capsys):
+    rc, _, err = run(capsys, "growth", "--automaton", "grigorchuk", "--radius", "-1")
+    assert rc == 2
+    assert "radius" in err
