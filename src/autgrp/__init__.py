@@ -37,10 +37,13 @@ _EXPORTS = {
         "are_equal",
         "canonical_key",
         "cayley_ball",
+        "csv_text",
         "growth",
         "is_identity_oracle",
+        "lower_bound_curve",
         "sections_closure",
         "word_length",
+        "write_csv",
     ),
     "contraction": (
         "ActivityClass",
@@ -85,13 +88,10 @@ _EXPORTS = {
         "BenchRow",
         "FitResult",
         "bench_report",
-        "csv_text",
         "fit_complexity",
         "get_family",
-        "lower_bound_curve",
         "report_json",
         "run_bench",
-        "write_csv",
     ),
     "cli": ("cli_main",),
 }

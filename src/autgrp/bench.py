@@ -1,4 +1,4 @@
-"""Benchmark families, complexity-model fitting, and growth reference curves.
+"""Benchmark families and complexity-model fitting.
 
 Step counts, not wall-clock times, are the measured quantity.  A family maps
 an index m to one input word (deterministically, given the seed) and runs a
@@ -11,7 +11,6 @@ the largest input wins.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -313,40 +312,7 @@ def fit_complexity(rows: Sequence, models: Optional[Iterable[str]] = None) -> Fi
     return FitResult(residuals, winner, leading[winner], lower, shares)
 
 
-# ---- growth lower-bound reference ----
-
-def lower_bound_curve(growth_table, n_range: Iterable[int]) -> list[tuple[int, float]]:
-    """Rows (n, n * log2(gamma(n))): the single-tape time floor implied by growth."""
-    rows = []
-    for n in n_range:
-        gamma = growth_table[n]
-        rows.append((n, n * math.log2(gamma)))
-    return rows
-
-
 # ---- reports ----
-
-def write_csv(rows, out, header: Sequence[str], seed: Optional[int] = None) -> None:
-    """Write rows as CSV with an optional leading ``# seed=`` comment."""
-    if seed is not None:
-        out.write(f"# seed={seed}\n")
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        tup = row.astuple() if isinstance(row, BenchRow) else tuple(row)
-        out.write(",".join(_fmt(v) for v in tup) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
-
-
-def csv_text(rows, header: Sequence[str], seed: Optional[int] = None) -> str:
-    buf = io.StringIO()
-    write_csv(rows, buf, header, seed)
-    return buf.getvalue()
-
 
 def bench_report(
     family: Union[str, BenchFamily],

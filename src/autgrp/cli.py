@@ -32,7 +32,7 @@ from .solvers import (
     solve_oracle,
     solve_polynomial,
 )
-from .words import growth, is_identity_oracle
+from .words import csv_text, growth, is_identity_oracle, lower_bound_curve
 
 GROUPS = ("z4", "z2", "heis")
 METHODS = ("oracle", "contracting", "bounded", "polynomial", "nilpotent", "auto")
@@ -263,8 +263,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    from .bench import csv_text, lower_bound_curve
-
     A = catalog.load(args.automaton)
     gt = growth(A, args.radius)
     curve = lower_bound_curve(gt, range(args.radius + 1))
@@ -279,7 +277,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .bench import FAMILIES, bench_report, csv_text, fit_complexity, report_json, run_bench
+    from .bench import FAMILIES, bench_report, fit_complexity, report_json, run_bench
 
     fam = FAMILIES[args.family]
     lo = args.m_lo if args.m_lo is not None else fam.default_range.start

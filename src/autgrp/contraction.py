@@ -17,6 +17,7 @@ witness.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,14 +27,12 @@ from typing import Optional
 from .automata import (
     MealyAutomaton,
     Word,
-    WordLike,
     _power_tables,
     alphabet_power,
     inverse_closure,
 )
 from .errors import (
     AutomatonFormatError,
-    BudgetExceeded,
     CertificateNotFound,
     NoIdentityState,
     NotPolynomial,
@@ -140,15 +139,12 @@ class ItemCheck:
 
 def _branch_str(B: MealyAutomaton, power: int, xcode: int) -> str:
     m = len(B.letters)
-    digits = []
-    for _ in range(power):
-        digits.append(xcode % m)
-        xcode //= m
-    digits.reverse()
-    return B.letters_str(digits)
+    return B.letters_str(xcode // m**i % m for i in reversed(range(power)))
 
 
-def _validate_cell(block: int, power: int) -> None:
+def _validate_cell(block: int, power: int, mode: Optional[str] = None) -> None:
+    if mode is not None and mode not in MODES:
+        raise AutomatonFormatError(f"unknown mode {mode!r}")
     if block < 1 or power < 1:
         raise AutomatonFormatError("block length and alphabet power must be >= 1")
 
@@ -166,37 +162,51 @@ def check_item(
     automaton's state order) or a passing summary carrying the maximal
     single-section length and section-length sum seen anywhere.
     """
-    if mode not in MODES:
-        raise AutomatonFormatError(f"unknown mode {mode!r}")
-    _validate_cell(block, power)
-    ctx = _ScanContext(A, block, power, ball_budget)
-    return _scan_exhaustive(ctx, mode)
+    _validate_cell(block, power, mode)
+    return _scan_exhaustive(_ScanContext(A, block, power, ball_budget), (mode,))[mode]
 
 
-def _scan_exhaustive(ctx: _ScanContext, mode: str, collect: Optional[dict] = None) -> ItemCheck:
-    B = ctx.automaton
-    enum = ctx.enum
-    block = ctx.block
-    n_enum = len(enum)
+def _all_blocks(ctx: _ScanContext):
+    """Every identity-free block in enumeration order, as (digits into
+    ``ctx.enum``, branch codes); the digit list is reused between blocks."""
+    n_enum = len(ctx.enum)
     if n_enum == 0:
-        return ItemCheck(True, mode, block, ctx.power, 0, 0, 0)
-
-    trans = [ctx.trans[s] for s in enum]
-    len_code = ctx.len_code
-    nb = ctx.ball.size
-    reps = ctx.ball.reps
-
+        return
+    block = ctx.block
+    trans = [ctx.trans[s] for s in ctx.enum]
     digits = [0] * block
     rows = [ctx.start_codes()] + [None] * block
-    max_sec = 0
-    max_sum = 0
-    words = 0
     refill_from = 0
     while True:
         for d in range(refill_from, block):
             row = trans[digits[d]]
             rows[d + 1] = [row[c] for c in rows[d]]
-        leaf = rows[block]
+        yield digits, rows[block]
+        d = block - 1
+        while d >= 0 and digits[d] == n_enum - 1:
+            digits[d] = 0
+            d -= 1
+        if d < 0:
+            return
+        digits[d] += 1
+        refill_from = d
+
+
+def _scan(ctx: _ScanContext, modes, blocks, leaves: Optional[list] = None) -> dict:
+    """Judge every mode in ``modes`` on each block's section lengths.
+
+    A mode that fails records its ``ItemCheck`` as of the failing block and
+    drops out; the scan stops once every mode has failed.  Modes alive at the
+    end pass with the maxima over all blocks.  ``leaves``, when given,
+    receives each block's branch codes in order.
+    """
+    B = ctx.automaton
+    block = ctx.block
+    len_code = ctx.len_code
+    live = list(modes)
+    results = {}
+    max_sec = max_sum = words = 0
+    for digits, leaf in blocks:
         lengths = [len_code[c] for c in leaf]
         words += 1
         top = max(lengths)
@@ -205,23 +215,26 @@ def _scan_exhaustive(ctx: _ScanContext, mode: str, collect: Optional[dict] = Non
             max_sec = top
         if tot > max_sum:
             max_sum = tot
-        ok, bad_x = _leaf_eval(mode, block, lengths)
-        if not ok:
-            word = tuple(B.states[enum[d]] for d in digits)
-            branch = None if bad_x is None else _branch_str(B, ctx.power, bad_x)
-            return ItemCheck(False, mode, block, ctx.power, words, max_sec, max_sum, word, branch)
-        if collect is not None:
-            word = tuple(enum[d] for d in digits)
-            for x, c in enumerate(leaf):
-                collect[(word, x)] = (reps[c % nb], c // nb)
-        d = block - 1
-        while d >= 0 and digits[d] == n_enum - 1:
-            digits[d] = 0
-            d -= 1
-        if d < 0:
-            return ItemCheck(True, mode, block, ctx.power, words, max_sec, max_sum)
-        digits[d] += 1
-        refill_from = d
+        if tot >= block:  # below it every mode passes
+            for mode in tuple(live):
+                ok, bad_x = _leaf_eval(mode, block, lengths)
+                if not ok:
+                    word = tuple(B.states[ctx.enum[d]] for d in digits)
+                    branch = None if bad_x is None else _branch_str(B, ctx.power, bad_x)
+                    results[mode] = ItemCheck(False, mode, block, ctx.power, words, max_sec, max_sum, word, branch)
+                    live.remove(mode)
+            if not live:
+                return results
+        if leaves is not None:
+            leaves.extend(leaf)
+    for mode in live:
+        results[mode] = ItemCheck(True, mode, block, ctx.power, words, max_sec, max_sum)
+    return results
+
+
+def _scan_exhaustive(ctx: _ScanContext, modes, leaves: Optional[list] = None) -> dict:
+    """One walk over the whole cell for all ``modes`` (see ``_scan``)."""
+    return _scan(ctx, modes, _all_blocks(ctx), leaves)
 
 
 def check_item_sampled(
@@ -234,28 +247,15 @@ def check_item_sampled(
     ball_budget: int = DEFAULT_BALL_BUDGET,
 ) -> ItemCheck:
     """Same predicate on seeded random identity-free blocks (CI-scale variant)."""
-    if mode not in MODES:
-        raise AutomatonFormatError(f"unknown mode {mode!r}")
-    _validate_cell(block, power)
+    _validate_cell(block, power, mode)
+    if samples < 1:
+        raise AutomatonFormatError("a sampled check needs at least one sample")
     ctx = _ScanContext(A, block, power, ball_budget)
-    enum = ctx.enum
-    if not enum:
-        return ItemCheck(True, mode, block, power, 0, 0, 0)
     rng = Random(seed)
-    len_code = ctx.len_code
-    max_sec = max_sum = 0
-    for i in range(samples):
-        word = [rng.choice(enum) for _ in range(block)]
-        codes = ctx.walk_word(word)
-        lengths = [len_code[c] for c in codes]
-        max_sec = max(max_sec, max(lengths))
-        max_sum = max(max_sum, sum(lengths))
-        ok, bad_x = _leaf_eval(mode, block, lengths)
-        if not ok:
-            names = tuple(ctx.automaton.states[s] for s in word)
-            branch = None if bad_x is None else _branch_str(ctx.automaton, power, bad_x)
-            return ItemCheck(False, mode, block, power, i + 1, max_sec, max_sum, names, branch)
-    return ItemCheck(True, mode, block, power, samples, max_sec, max_sum)
+    n_enum = len(ctx.enum)
+    draws = ([rng.choice(range(n_enum)) for _ in range(block)] for _ in range(samples if n_enum else 0))
+    blocks = ((digits, ctx.walk_word(ctx.enum[d] for d in digits)) for digits in draws)
+    return _scan(ctx, (mode,), blocks)[mode]
 
 
 # ---- certificates ----
@@ -348,6 +348,24 @@ class ContractionCertificate:
         )
 
 
+def _eager_leaves(ctx: _ScanContext, table_budget: int) -> Optional[list]:
+    """An empty leaf list when the cell's table fits the eager budget."""
+    return [] if len(ctx.enum) ** ctx.block * ctx.branches <= table_budget else None
+
+
+def _package(A: MealyAutomaton, ctx: _ScanContext, res: ItemCheck, leaves) -> ContractionCertificate:
+    """The certificate of a passing scan; ``leaves`` (or None, for a lazy
+    table) holds every block's branch codes in enumeration order."""
+    entries = None
+    if leaves is not None:
+        nb = ctx.ball.size
+        reps = ctx.ball.reps
+        keys = itertools.product(itertools.product(ctx.enum, repeat=ctx.block), range(ctx.branches))
+        entries = {key: (reps[c % nb], c // nb) for key, c in zip(keys, leaves)}
+    shrink = res.max_section if res.mode == "item1" else res.max_section_sum
+    return ContractionCertificate(A, ctx, res.mode, shrink, entries, leaves is not None)
+
+
 def build_certificate(
     A: MealyAutomaton,
     block: int,
@@ -357,18 +375,38 @@ def build_certificate(
     table_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> ContractionCertificate:
     """Scan one cell and package the result; raises if the scan fails."""
-    if mode not in MODES:
-        raise AutomatonFormatError(f"unknown mode {mode!r}")
-    _validate_cell(block, power)
+    _validate_cell(block, power, mode)
     ctx = _ScanContext(A, block, power, ball_budget)
-    n_enum = len(ctx.enum)
-    eager = n_enum**block * ctx.branches <= table_budget
-    collect = {} if eager else None
-    res = _scan_exhaustive(ctx, mode, collect=collect)
+    leaves = _eager_leaves(ctx, table_budget)
+    res = _scan_exhaustive(ctx, (mode,), leaves)[mode]
     if not res.passed:
         raise CertificateNotFound(block, power)
-    shrink = res.max_section if mode == "item1" else res.max_section_sum
-    return ContractionCertificate(A, ctx, mode, shrink, collect, eager)
+    return _package(A, ctx, res, leaves)
+
+
+# The strict total shrink carries the strongest runtime guarantee; the weak
+# total bound only caps stages, so it comes last.
+_PREFERENCE = ("item3", "item1", "item2")
+
+
+def _first_cells(A: MealyAutomaton, max_block: int, max_power: int, ball_budget: int, table_budget: int) -> dict:
+    """Each mode's first passing cell in (power, block) order, as the tail
+    of ``_package``'s arguments.  Every cell is scanned once, for the live
+    modes: those preferred over every mode already placed."""
+    _validate_cell(max_block, max_power)
+    placed: dict = {}
+    live = _PREFERENCE
+    for power in range(1, max_power + 1):
+        for block in range(1, max_block + 1):
+            ctx = _ScanContext(A, block, power, ball_budget)
+            leaves = _eager_leaves(ctx, table_budget)
+            for mode, res in _scan_exhaustive(ctx, live, leaves).items():
+                if res.passed:
+                    placed[mode] = (ctx, res, leaves)
+            live = _PREFERENCE[: min(map(_PREFERENCE.index, placed), default=len(_PREFERENCE))]
+            if not live:
+                return placed
+    return placed
 
 
 def find_certificate(
@@ -380,23 +418,37 @@ def find_certificate(
 ) -> ContractionCertificate:
     """Search all cells in (power, block) lexicographic order.
 
-    The strict total-shrink mode is hunted across the whole grid first,
+    The strict total-shrink mode wins at its first cell anywhere in the box,
     since it carries the strongest runtime guarantee.  If it passes nowhere,
-    the scan restarts cell by cell and takes the first cell certifying
-    anything, preferring the per-section bound over the weak total bound at
-    the same cell.
+    the first cell certifying anything wins, with the per-section bound
+    preferred over the weak total bound at the same cell.  Each cell is
+    scanned once, for all modes still in question.
     """
-    _validate_cell(max_block, max_power)
-    for power in range(1, max_power + 1):
-        for block in range(1, max_block + 1):
-            if check_item(A, block, power, "item3", ball_budget).passed:
-                return build_certificate(A, block, power, "item3", ball_budget, table_budget)
-    for power in range(1, max_power + 1):
-        for block in range(1, max_block + 1):
-            for mode in ("item1", "item2"):
-                if check_item(A, block, power, mode, ball_budget).passed:
-                    return build_certificate(A, block, power, mode, ball_budget, table_budget)
-    raise CertificateNotFound(max_block, max_power)
+    cells = _first_cells(A, max_block, max_power, ball_budget, table_budget)
+    if not cells:
+        raise CertificateNotFound(max_block, max_power)
+    # item3 first, then the earliest cell, then item1 before item2
+    first = min((res for _, res, _ in cells.values()), key=lambda r: (r.mode != "item3", r.power, r.block, r.mode))
+    return _package(A, *cells[first.mode])
+
+
+def best_certificate(
+    A: MealyAutomaton,
+    search_block: int = 4,
+    search_power: int = 2,
+) -> Optional[ContractionCertificate]:
+    """Certificate search that avoids the weak total-shrink mode when it can.
+
+    The weak mode caps stages instead of guaranteeing progress, so it is
+    taken only when nothing else passes in the box: the strict total shrink
+    wins at its first cell, else the per-section shrink at its first cell,
+    else the weak mode at its first cell.  Each cell is scanned once, for all
+    modes still in question.  Returns None when nothing in the box certifies.
+    """
+    cells = _first_cells(A, search_block, search_power, DEFAULT_BALL_BUDGET, DEFAULT_TABLE_BUDGET)
+    if not cells:
+        return None
+    return _package(A, *cells[min(cells, key=_PREFERENCE.index)])
 
 
 # ---- certificate files ----
@@ -471,14 +523,19 @@ def load_certificate(text: str, A: MealyAutomaton, validate: bool = True,
 
     expected = len(ctx.enum) ** block * ctx.branches
     if len(entries) != expected:
-        raise AutomatonFormatError(
-            f"certificate has {len(entries)} entries; expected {expected}"
-        )
+        raise AutomatonFormatError(f"certificate has {len(entries)} entries; expected {expected}")
     if validate:
-        _check_header(ctx, mode, lam, entries)
-    shrink = int(lam * block)
-    cert = ContractionCertificate(A, ctx, mode, shrink, entries, eager=True)
-    return cert
+        # every entry equals its recomputed section, so the cell scan judges
+        # the table itself: the header must state its mode and its ratio
+        res = _scan_exhaustive(ctx, (mode,))[mode]
+        if not res.passed:
+            raise AutomatonFormatError(f"block {'.'.join(res.witness)} breaks the header's mode {mode}")
+        shrink = res.max_section if mode == "item1" else res.max_section_sum
+        if Fraction(shrink, block) != lam:
+            raise AutomatonFormatError(
+                f"header ratio {lam} does not match the table's ratio {Fraction(shrink, block)}"
+            )
+    return ContractionCertificate(A, ctx, mode, int(lam * block), entries, eager=True)
 
 
 def _parse_header(line: str) -> tuple[str, int, int, Fraction]:
@@ -496,28 +553,6 @@ def _parse_header(line: str) -> tuple[str, int, int, Fraction]:
     if not 0 <= lam <= 1 or (lam == 1 and mode != "item2"):
         raise AutomatonFormatError(f"shrink ratio {lam} out of range for mode {mode}")
     return mode, block, power, lam
-
-
-def _check_header(ctx: _ScanContext, mode: str, lam: Fraction, entries) -> None:
-    """Recompute the mode predicate and the shrink ratio from the section
-    lengths of the (already validated) table; the header must state both."""
-    block = ctx.block
-    lengths: dict = {}
-    for (word, _), (out_word, _) in entries.items():
-        lengths.setdefault(word, []).append(len(out_word))
-    max_sec = max_sum = 0
-    for word in sorted(lengths):
-        ok, _ = _leaf_eval(mode, block, lengths[word])
-        if not ok:
-            names = ".".join(ctx.automaton.states[s] for s in word)
-            raise AutomatonFormatError(f"block {names} breaks the header's mode {mode}")
-        max_sec = max(max_sec, max(lengths[word]))
-        max_sum = max(max_sum, sum(lengths[word]))
-    shrink = max_sec if mode == "item1" else max_sum
-    if Fraction(shrink, block) != lam:
-        raise AutomatonFormatError(
-            f"header ratio {lam} does not match the table's ratio {Fraction(shrink, block)}"
-        )
 
 
 # ---- activity classification ----

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .automata import MealyAutomaton, WordLike, inverse_closure
-from .contraction import ContractionCertificate
+from .contraction import ContractionCertificate, best_certificate, classify_activity, loopify
 from .errors import (
     BudgetExceeded,
     CertificateMismatch,
@@ -34,7 +34,7 @@ from .errors import (
     NonTermination,
     StageGuardExceeded,
 )
-from .words import DEFAULT_ORACLE_BUDGET, is_identity_oracle
+from .words import DEFAULT_ORACLE_BUDGET
 
 
 @dataclass
@@ -455,36 +455,6 @@ def solve_oracle(A: MealyAutomaton, tape: TapeLike, budget: int = DEFAULT_ORACLE
     return StepReport("oracle", verdict, n, steps, 0, (n,), (max((len(s) for s in segments), default=0),), {})
 
 
-def best_certificate(
-    A: MealyAutomaton,
-    search_block: int = 4,
-    search_power: int = 2,
-) -> Optional[ContractionCertificate]:
-    """Certificate search that avoids the weak total-shrink mode when it can.
-
-    The weak mode caps stages instead of guaranteeing progress, so when the
-    plain search lands on it, every cell in the same box is rescanned for a
-    genuinely shrinking certificate first.  Returns None when nothing in the
-    box certifies.
-    """
-    from .contraction import build_certificate, find_certificate
-    from .errors import CertificateNotFound
-
-    try:
-        cert = find_certificate(A, search_block, search_power)
-    except CertificateNotFound:
-        return None
-    if cert.mode == "item2":
-        for power in range(1, search_power + 1):
-            for block in range(1, search_block + 1):
-                for mode in ("item1", "item3"):
-                    try:
-                        return build_certificate(A, block, power, mode)
-                    except CertificateNotFound:
-                        continue
-    return cert
-
-
 def solve_auto(
     A: MealyAutomaton,
     tape: TapeLike,
@@ -493,17 +463,9 @@ def solve_auto(
 ) -> StepReport:
     """Dispatch: certificate search, then activity classification, then the
     exponential oracle as a last resort."""
-    from .contraction import classify_activity, loopify
-
     cert = best_certificate(A, search_block, search_power)
     if cert is not None:
-        bounded = False
-        if A.identity is not None:
-            try:
-                bounded = classify_activity(A).is_bounded
-            except NoIdentityState:
-                bounded = False
-        if bounded:
+        if A.identity is not None and classify_activity(A).is_bounded:
             return solve_bounded(A, cert, tape)
         return solve_contracting(A, cert, tape)
     if A.identity is not None:

@@ -1,5 +1,6 @@
 """Exact word-problem machinery: section closures, the exponential-time
-oracle, canonical element keys, word length, and growth tables.
+oracle, canonical element keys, word length, growth tables, and the CSV
+form of their rows.
 
 Section words keep identity letters so that every member of a closure has the
 same length; that fixed length is what makes the closure finite.
@@ -8,6 +9,8 @@ same length; that fixed length is what makes the closure finite.
 from __future__ import annotations
 
 import functools
+import io
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -376,3 +379,27 @@ def growth(A: MealyAutomaton, n: int, budget: int = DEFAULT_BALL_BUDGET, label: 
         total += counts[d]
         gamma.append(total)
     return GrowthTable(label or f"{len(A.states)}-state automaton", n, tuple(gamma))
+
+
+def lower_bound_curve(growth_table, n_range: Iterable[int]) -> list[tuple[int, float]]:
+    """Rows (n, n * log2(gamma(n))): the single-tape time floor implied by growth."""
+    return [(n, n * math.log2(growth_table[n])) for n in n_range]
+
+
+# ---- CSV rows ----
+
+def write_csv(rows, out, header: Sequence[str], seed: Optional[int] = None) -> None:
+    """Write rows (tuples, or objects with ``astuple``) as CSV with an
+    optional leading ``# seed=`` comment."""
+    if seed is not None:
+        out.write(f"# seed={seed}\n")
+    out.write(",".join(header) + "\n")
+    for row in rows:
+        tup = row.astuple() if hasattr(row, "astuple") else tuple(row)
+        out.write(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in tup) + "\n")
+
+
+def csv_text(rows, header: Sequence[str], seed: Optional[int] = None) -> str:
+    buf = io.StringIO()
+    write_csv(rows, buf, header, seed)
+    return buf.getvalue()

@@ -182,6 +182,17 @@ def test_certify_sampled(capsys):
     assert "words=200" in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_certify_sampled_without_samples_is_a_usage_error(capsys, samples):
+    rc, out, err = run(
+        capsys, "certify", "--automaton", "basilica",
+        "-L", "1", "-k", "1", "--mode", "item1", "--sample", samples,
+    )
+    assert rc == 2
+    assert out == ""
+    assert "at least one sample" in err
+
+
 # ----------------------------------------------------------- growth / bench
 
 def test_growth_csv(capsys):
@@ -329,3 +340,18 @@ def test_growth_negative_radius_exits_2(capsys):
     rc, _, err = run(capsys, "growth", "--automaton", "grigorchuk", "--radius", "-1")
     assert rc == 2
     assert "radius" in err
+
+
+def test_growth_loads_no_numpy():
+    # the growth table and its n log2 gamma floor are plain Python
+    src = os.path.dirname(os.path.dirname(autgrp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import sys, autgrp.cli\n"
+        "rc = autgrp.cli.cli_main(['growth', '--automaton', 'grigorchuk', '--radius', '2', '--bound'])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "n,gamma,n_log2_gamma"
+    assert lines[-1] == "0 False"

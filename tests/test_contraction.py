@@ -69,6 +69,13 @@ def test_sampled_check_agrees_with_exhaustive(grig):
     assert r.words_checked == 500
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_check_needs_a_sample(basilica, samples):
+    # no block was looked at, so there is nothing to pass
+    with pytest.raises(AutomatonFormatError, match="at least one sample"):
+        check_item_sampled(basilica, 1, 1, "item1", samples=samples)
+
+
 # -------------------------------------------------------------- certificates
 
 def test_find_certificate_grig(grig_cert):
