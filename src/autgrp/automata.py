@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -355,21 +356,23 @@ def invert(A: MealyAutomaton) -> MealyAutomaton:
     return MealyAutomaton(A.letters, names, nxt, out, identity=A.identity)
 
 
-def _renumber(items) -> list[int]:
+def _partition(children: Sequence[Sequence[int]], perms: Sequence[Sequence[int]]) -> list[int]:
+    """Moore refinement: each state's class under equal behavior, classes
+    numbered by their first member.  ``children[i][x]`` is state i's next
+    state at letter x and ``perms[i]`` its tuple of output images."""
     ids = {}
-    return [ids.setdefault(it, len(ids)) for it in items]
-
-
-def _partition(A: MealyAutomaton) -> list[int]:
-    # refine (output row, successor classes) until the class count stabilizes
-    n = len(A.states)
-    cls = _renumber([A._out[s] for s in range(n)])
-    while True:
-        sigs = [(cls[s], tuple(cls[t] for t in A._next[s])) for s in range(n)]
-        new = _renumber(sigs)
-        if len(set(new)) == len(set(cls)):
-            return new
-        cls = new
+    cls = [ids.setdefault(p, len(ids)) for p in perms]
+    count = len(ids)
+    if count < len(cls):
+        # one signature per state and round: its class and its children's
+        getters = [itemgetter(*row) for row in children]
+        while True:
+            ids = {}
+            cls = [ids.setdefault((c, get(cls)), len(ids)) for c, get in zip(cls, getters)]
+            if len(ids) == count:
+                break
+            count = len(ids)
+    return cls
 
 
 def _quotient(A: MealyAutomaton, cls: list[int]) -> MealyAutomaton:
@@ -387,8 +390,8 @@ def _quotient(A: MealyAutomaton, cls: list[int]) -> MealyAutomaton:
 
 def minimize(A: MealyAutomaton) -> MealyAutomaton:
     """Merge states inducing the same transformation (partition refinement)."""
-    cls = _partition(A)
-    if len(set(cls)) == len(A.states):
+    cls = _partition(A._next, A._out)
+    if max(cls) + 1 == len(A.states):
         return A
     return _quotient(A, cls)
 
@@ -518,7 +521,7 @@ class InverseClosure:
         nxt = [list(r) for r in source._next] + [[t + n for t in r] for r in inv._next]
         out = [list(r) for r in source._out] + [list(r) for r in inv._out]
         union = MealyAutomaton(source.letters, states, nxt, out, identity=source.identity)
-        cls = _partition(union)
+        cls = _partition(union._next, union._out)
         merged = _quotient(union, cls)
 
         self.source = source
@@ -540,10 +543,6 @@ class InverseClosure:
     def parse(self, w: WordLike) -> Word:
         """Word over the merged states; accepts formal-inverse spellings."""
         return self.automaton._parse_seq(w, self.automaton.states, self._names, "state")
-
-    def lift(self, w: WordLike) -> Word:
-        """Word over the source automaton, reinterned into the merged one."""
-        return tuple(self.to_merged[s] for s in self.source.parse_word(w))
 
     def inverse_word(self, w: Iterable[int]) -> Word:
         """Formal inverse: reversed word of inverse states."""

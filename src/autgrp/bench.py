@@ -22,7 +22,7 @@ import numpy as np
 
 from . import catalog
 from .contraction import build_certificate
-from .errors import UnknownLetter
+from .errors import AutomatonFormatError, UnknownLetter
 from .nilpotent import build_instance, random_trivial_word, solve_nilpotent
 from .solvers import StepReport, solve_bounded, solve_polynomial
 
@@ -241,7 +241,7 @@ def _extract_points(rows) -> list[tuple[int, int]]:
             elif len(seq) == 2:
                 pts.append((int(seq[0]), int(seq[1])))
             else:
-                raise ValueError(f"cannot read (n, steps) from row {row!r}")
+                raise AutomatonFormatError(f"cannot read (n, steps) from row {row!r}")
     return pts
 
 
@@ -284,7 +284,7 @@ def fit_complexity(rows: Sequence, models: Optional[Iterable[str]] = None) -> Fi
     """
     pts = _extract_points(rows)
     if len(pts) < 2:
-        raise ValueError("need at least two rows to fit")
+        raise AutomatonFormatError("need at least two rows to fit")
     names = tuple(models) if models is not None else DEFAULT_MODELS
     for name in names:
         if name not in MODELS:
@@ -297,7 +297,7 @@ def fit_complexity(rows: Sequence, models: Optional[Iterable[str]] = None) -> Fi
         f = MODELS[name](n)
         bad = (f <= 0) | (y <= 0)
         if bad.any():
-            raise ValueError(f"model {name} or steps nonpositive at n={int(n[bad.argmax()])}")
+            raise AutomatonFormatError(f"model {name} or steps nonpositive at n={int(n[bad.argmax()])}")
         g_name = _lower_shape(name)
         columns = [f] if g_name is None else [f, MODELS[g_name](n)]
         coef = _nonnegative_fit(columns, y)

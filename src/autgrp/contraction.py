@@ -282,6 +282,7 @@ class ContractionCertificate:
         self.power = ctx.power
         self.shrink_ratio = Fraction(shrink_num, ctx.block)
         self.eager = eager
+        self.outputs = ctx.outk  # branch handed on, per state and branch
         self._ctx = ctx
         self._entries = entries if entries is not None else {}
         self._memo = {}
@@ -325,17 +326,6 @@ class ContractionCertificate:
             out.append(seck[s][x])
             x = outk[s][x]
         return out, x
-
-    def branch_perm_fixes_all(self, word) -> bool:
-        """True iff the word permutes no branch of the power alphabet."""
-        outk = self._ctx.outk
-        for x in range(self.branches):
-            cur = x
-            for s in word:
-                cur = outk[s][cur]
-            if cur != x:
-                return False
-        return True
 
     def is_trivial_short(self, word) -> bool:
         """Ball decision for segments shorter than the block."""
@@ -499,6 +489,7 @@ def load_certificate(text: str, A: MealyAutomaton, validate: bool = True,
     B = ctx.automaton
     six = {s: i for i, s in enumerate(B.states)}
     entries = {}
+    walks = {}  # one walk per block gives every branch
     for ln in lines[1:]:
         if not ln.startswith("sect:"):
             raise AutomatonFormatError(f"unexpected line {ln!r}")
@@ -511,9 +502,13 @@ def load_certificate(text: str, A: MealyAutomaton, validate: bool = True,
         word = tuple(six[t] for t in wtoks)
         if len(word) != block:
             raise AutomatonFormatError(f"block {toks[0]!r} is not {block} letters")
+        if B.identity in word:
+            raise AutomatonFormatError(f"block {toks[0]!r} holds the identity letter")
         xcode = _parse_branch(B, power, toks[1])
         out_word = () if toks[3] == "-" else tuple(six[t] for t in toks[3].split("."))
-        codes = ctx.walk_word(word)
+        codes = walks.get(word)
+        if codes is None:
+            codes = walks[word] = ctx.walk_word(word)
         next_x = ctx.branch_of_code(codes[xcode])
         if validate and out_word != ctx.rep_of_code(codes[xcode]):
             raise AutomatonFormatError(

@@ -16,52 +16,28 @@ fixed while the written word spells the preimage of the input under phi.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ClosureFailure, NonTermination, UnknownLetter
+from .errors import AutomatonFormatError, ClosureFailure, NonTermination, UnknownLetter
 from .solvers import StepReport
 
 _CLOSURE_ROUNDS = 12
 _MAX_LETTERS = 4096
 
 
-class _Ops:
-    """Coordinate arithmetic for one instance kind; arrays have shape (..., dim)."""
+class _AbelianOps:
+    """Z^d with phi = multiplication by 4 and reps {0..3}^d."""
 
     def __init__(self, name, dim, n_reps, gens):
         self.name = name
         self.dim = dim
         self.n_reps = n_reps
         self.gens = gens  # ordered [(name, coords), ...] of input generators
-
-    def mult(self, A, B):
-        raise NotImplementedError
-
-    def inv(self, A):
-        raise NotImplementedError
-
-    def phi(self, A):
-        raise NotImplementedError
-
-    def phi_inv(self, A):
-        raise NotImplementedError
-
-    def rep_coords(self, T):
-        raise NotImplementedError
-
-    def rep_index(self, R):
-        raise NotImplementedError
-
-    def rep_from_index(self, idx):
-        raise NotImplementedError
-
-
-class _AbelianOps(_Ops):
-    """Z^d with phi = multiplication by 4 and reps {0..3}^d."""
 
     def mult(self, A, B):
         return A + B
@@ -93,17 +69,23 @@ class _AbelianOps(_Ops):
             out[..., d] = (idx // (4**d)) % 4
         return out
 
+    def fold(self, coords):
+        """Running products g_1, g_1 g_2, ... as an (n, dim) array."""
+        return np.cumsum(coords, axis=0)
 
-class _HeisenbergOps(_Ops):
+    def seed_letters(self) -> list[tuple[int, ...]]:
+        # coordinate box of radius 3; the rewrite maps it into the radius-2
+        # box, so the very first verification pass goes through
+        return list(itertools.product(range(-3, 4), repeat=self.dim))
+
+
+class _HeisenbergOps:
     """Integer Heisenberg group, (x1,y1,z1)(x2,y2,z2) = (x1+x2, y1+y2, z1+z2+x1*y2)."""
 
-    def __init__(self):
-        super().__init__(
-            "heis",
-            3,
-            256,
-            [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1))],
-        )
+    name = "heis"
+    dim = 3
+    n_reps = 256
+    gens = [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1))]
 
     def mult(self, A, B):
         out = A + B
@@ -145,6 +127,23 @@ class _HeisenbergOps(_Ops):
         out[..., 2] = idx // 16
         return out
 
+    def fold(self, coords):
+        """Running products g_1, g_1 g_2, ... as an (n, 3) array."""
+        out = np.cumsum(coords, axis=0)
+        x_prefix = np.empty(len(coords), dtype=np.int64)
+        x_prefix[0] = 0
+        np.cumsum(coords[:-1, 0], out=x_prefix[1:])
+        out[:, 2] = np.cumsum(coords[:, 2] + x_prefix * coords[:, 1])
+        return out
+
+    def seed_letters(self) -> list[tuple[int, ...]]:
+        """The identity, the generators and their inverses."""
+        seed = {(0, 0, 0)}
+        for _, gcoords in self.gens:
+            seed.add(gcoords)
+            seed.add(tuple(int(v) for v in self.inv(np.asarray([gcoords], dtype=np.int64))[0]))
+        return sorted(seed)
+
 
 _KINDS = {"z4": "z4", "z": "z4", "z2": "z2", "z2x4": "z2", "heis": "heis", "heisenberg": "heis"}
 
@@ -152,11 +151,11 @@ _KINDS = {"z4": "z4", "z": "z4", "z2": "z2", "z2x4": "z2", "heis": "heis", "heis
 def _canonical_kind(kind: str) -> str:
     key = _KINDS.get(kind.strip().lower())
     if key is None:
-        raise ValueError(f"unknown instance kind {kind!r} (expected z4, z2, or heis)")
+        raise UnknownLetter(kind, "instance kind")
     return key
 
 
-def _make_ops(kind: str) -> _Ops:
+def _make_ops(kind: str):
     key = _canonical_kind(kind)
     if key == "z4":
         return _AbelianOps("z4", 1, 4, [("a", (1,))])
@@ -165,7 +164,7 @@ def _make_ops(kind: str) -> _Ops:
     return _HeisenbergOps()
 
 
-def _letter_name(ops: _Ops, coords: tuple[int, ...]) -> str:
+def _letter_name(ops, coords: tuple[int, ...]) -> str:
     if all(v == 0 for v in coords):
         return "e"
     for i, (gname, gcoords) in enumerate(ops.gens):
@@ -218,13 +217,13 @@ class NilpotentInstance:
         "_byte_index",
     )
 
-    def __init__(self, ops: _Ops, letter_coords: list[tuple[int, ...]]):
+    def __init__(self, ops, letter_coords: list[tuple[int, ...]]):
         self.name = ops.name
         self.ops = ops
         self.letters = tuple(letter_coords)
         self._coord_index = {c: i for i, c in enumerate(self.letters)}
         if len(self._coord_index) != len(self.letters):
-            raise ValueError("duplicate letters")
+            raise AutomatonFormatError("duplicate letters")
         self.letter_names = tuple(_letter_name(ops, c) for c in self.letters)
         self._name_index = {n: i for i, n in enumerate(self.letter_names)}
         # one-character letter names by byte value, -1 for everything else
@@ -241,7 +240,7 @@ class NilpotentInstance:
             key = tuple(int(v) for v in row)
             got = self._coord_index.get(key)
             if got is None:
-                raise ValueError(f"letter set is not closed under inversion: missing {key}")
+                raise AutomatonFormatError(f"letter set is not closed under inversion: missing {key}")
             inv_idx.append(got)
         self.inverse_index = np.asarray(inv_idx, dtype=np.int64)
         self.gen_index = {}
@@ -337,18 +336,8 @@ class NilpotentInstance:
         if len(idxs) == 0:
             return tuple(0 for _ in range(self.ops.dim))
         coords = np.asarray(self.letters, dtype=np.int64)[idxs]
-        total = self._fold(coords)[-1]
+        total = self.ops.fold(coords)[-1]
         return tuple(int(v) for v in total)
-
-    def _fold(self, coords: np.ndarray) -> np.ndarray:
-        """Running products g_1, g_1 g_2, ... as an (n, dim) array."""
-        out = np.cumsum(coords, axis=0)
-        if isinstance(self.ops, _HeisenbergOps):
-            x_prefix = np.empty(len(coords), dtype=np.int64)
-            x_prefix[0] = 0
-            np.cumsum(coords[:-1, 0], out=x_prefix[1:])
-            out[:, 2] = np.cumsum(coords[:, 2] + x_prefix * coords[:, 1])
-        return out
 
     def is_trivial(self, word) -> bool:
         return all(v == 0 for v in self.word_value(word))
@@ -425,23 +414,6 @@ def _fill_tables(inst: NilpotentInstance) -> tuple[list[tuple[int, ...]], np.nda
     return missing, T
 
 
-def _seed_letters(ops: _Ops) -> list[tuple[int, ...]]:
-    if isinstance(ops, _AbelianOps):
-        # coordinate box of radius 3; the rewrite maps it into the radius-2
-        # box, so the very first verification pass goes through
-        rng = range(-3, 4)
-        if ops.dim == 1:
-            return [(i,) for i in rng]
-        return sorted((i, j) for i in rng for j in rng)
-    zero = tuple(0 for _ in range(ops.dim))
-    seed = {zero}
-    for _, gcoords in ops.gens:
-        g = np.asarray([gcoords], dtype=np.int64)
-        seed.add(tuple(gcoords))
-        seed.add(tuple(int(v) for v in ops.inv(g)[0]))
-    return sorted(seed)
-
-
 def build_instance(kind: str) -> NilpotentInstance:
     """Construct letters, coset action, and rewrite tables for z4, z2, or heis.
 
@@ -456,7 +428,7 @@ def build_instance(kind: str) -> NilpotentInstance:
 @functools.lru_cache(maxsize=None)
 def _shared_instance(kind: str) -> NilpotentInstance:
     ops = _make_ops(kind)
-    letters = _seed_letters(ops)
+    letters = ops.seed_letters()
     for _ in range(_CLOSURE_ROUNDS):
         inst = NilpotentInstance(ops, letters)
         missing, cube = _fill_tables(inst)
@@ -545,7 +517,7 @@ def _scan_index(inst: NilpotentInstance, idxs: np.ndarray) -> int:
     if len(idxs) == 0:
         return inst.rep_e
     coords = np.asarray(inst.letters, dtype=np.int64)[idxs]
-    total = inst._fold(coords)[-1]
+    total = inst.ops.fold(coords)[-1]
     rep = inst.ops.rep_coords(total[None, :])
     return int(inst.ops.rep_index(rep)[0])
 
@@ -564,7 +536,7 @@ def _halve_inplace(inst: NilpotentInstance, w: np.ndarray) -> int:
         return 0
     letters = np.asarray(inst.letters, dtype=np.int64)
     coords = letters[w[nz]]
-    fold = inst._fold(coords)
+    fold = inst.ops.fold(coords)
     k = len(nz) // 2
     odd = len(nz) % 2 == 1
 
@@ -591,7 +563,7 @@ def halve(inst: NilpotentInstance, word) -> tuple[str, ...]:
     the output has the same length and about half the non-identity letters."""
     idxs = inst.parse(word)
     if _scan_index(inst, idxs) != inst.rep_e:
-        raise ValueError("word is not in the endomorphism image")
+        raise AutomatonFormatError("word is not in the endomorphism image")
     _halve_inplace(inst, idxs)
     return tuple(inst.letter_names[int(i)] for i in idxs)
 

@@ -28,13 +28,13 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from .automata import MealyAutomaton, WordLike, inverse_closure
 from .contraction import ContractionCertificate, best_certificate, classify_activity, loopify
 from .errors import (
-    BudgetExceeded,
+    AutomatonFormatError,
     CertificateMismatch,
     NoIdentityState,
     NonTermination,
     StageGuardExceeded,
 )
-from .words import DEFAULT_ORACLE_BUDGET
+from .words import DEFAULT_ORACLE_BUDGET, _closure_walk
 
 
 @dataclass
@@ -155,7 +155,7 @@ def mx_step(cert: ContractionCertificate, x: int, w: WordLike) -> tuple[str, ...
     seg = list(cert.closure.parse(w))
     branches = cert.branches
     if not 0 <= int(x) < branches:
-        raise ValueError(f"branch index out of range 0..{branches - 1}")
+        raise AutomatonFormatError(f"branch index out of range 0..{branches - 1}")
     out = _mx(cert, seg, int(x), strip=False)
     B = cert.automaton
     return tuple(B.states[s] for s in out)
@@ -189,20 +189,23 @@ class _LiteralSections:
         s = word[0]
         return self.sections[s][x], self.outputs[s][x]
 
-    def branch_perm_fixes_all(self, word) -> bool:
-        out = self.outputs
-        for x in range(self.branches):
-            cur = x
-            for s in word:
-                cur = out[s][cur]
-            if cur != x:
-                return False
-        return True
-
 
 @functools.lru_cache(maxsize=32)
 def _literal_sections(A: MealyAutomaton) -> _LiteralSections:
     return _LiteralSections(A)
+
+
+def _fixes_every_branch(rw, seg) -> bool:
+    """True iff the segment permutes no branch: ``rw.outputs[s][x]`` is the
+    branch letter s hands on from branch x."""
+    out = rw.outputs
+    for x in range(rw.branches):
+        cur = x
+        for s in seg:
+            cur = out[s][cur]
+        if cur != x:
+            return False
+    return True
 
 
 class _Rules(NamedTuple):
@@ -307,7 +310,7 @@ def _python_stages(rw, segments: list[list[int]], rules: _Rules) -> StepReport:
         # branch permutations must all be trivial
         if rules.perm_scan:
             steps += sum(len(s) for s in keep)
-        if any(not rw.branch_perm_fixes_all(seg) for seg in keep):
+        if not all(_fixes_every_branch(rw, seg) for seg in keep):
             verdict = False
             break
 
@@ -406,50 +409,27 @@ def solve_polynomial(
     rule are combined under this mode's stage guard.
     """
     if degree < 0:
-        raise ValueError("degree must be >= 0")
+        raise AutomatonFormatError("degree must be >= 0")
     return _run_stages(*_plan(A, "polynomial", cert, degree, stage_cap), tape)
 
 
 def solve_oracle(A: MealyAutomaton, tape: TapeLike, budget: int = DEFAULT_ORACLE_BUDGET) -> StepReport:
-    """Exponential-time reference: closure scan per segment, counting every
-    computed section letter as a step.  Raises BudgetExceeded when a
-    segment's closure would grow past ``budget`` words."""
+    """Exponential-time reference: closure walk per segment, counting every
+    computed section letter as a step.  Every section word keeps its
+    segment's length, so a segment of length l whose walk computes the
+    sections of k words costs ``|X| * l * k`` steps.  Raises BudgetExceeded
+    when a segment's closure would grow past ``budget`` words."""
     ic = inverse_closure(A)
     B = ic.automaton
     segments = _parse_tape(ic.parse, tape)
     n = sum(len(s) for s in segments)
-    nxt, out = B._next, B._out
     m = len(B.letters)
-    ident_img = tuple(range(m))
     steps = 0
     verdict = True
     for seg in segments:
-        index = {tuple(seg)}
-        todo = [tuple(seg)]
-        i = 0
-        trivial = True
-        while i < len(todo):
-            w = todo[i]
-            i += 1
-            imgs = []
-            for x in range(m):
-                cur = x
-                sec = []
-                for s in w:
-                    sec.append(nxt[s][cur])
-                    cur = out[s][cur]
-                steps += len(w)
-                imgs.append(cur)
-                sec = tuple(sec)
-                if sec not in index:
-                    if len(index) >= budget:
-                        raise BudgetExceeded(budget, "section closure")
-                    index.add(sec)
-                    todo.append(sec)
-            if tuple(imgs) != ident_img:
-                trivial = False
-                break
-        if not trivial:
+        words, bad = _closure_walk(B, tuple(seg), budget)
+        steps += m * len(seg) * (len(words) if bad is None else bad + 1)
+        if bad is not None:
             verdict = False
             break
     return StepReport("oracle", verdict, n, steps, 0, (n,), (max((len(s) for s in segments), default=0),), {})

@@ -12,10 +12,9 @@ import functools
 import io
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .automata import MealyAutomaton, Word, WordLike, inverse_closure
+from .automata import MealyAutomaton, Word, WordLike, _partition, inverse_closure
 from .errors import AutomatonFormatError, BudgetExceeded, NotInBall
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
@@ -41,26 +40,26 @@ class SectionTable:
         return len(self.words)
 
 
-def _closure_scan(A: MealyAutomaton, word: Word, budget: int, collect: bool):
-    """BFS over single-letter sections.
+def _closure_walk(A: MealyAutomaton, word: Word, budget: int, known=frozenset(), tables=None):
+    """Breadth-first walk over single-letter sections, from ``word``.
 
-    With ``collect`` False, returns True as soon as the closure is complete
-    and every permutation is trivial, or False on the first nontrivial one.
-    With ``collect`` True, returns the full table data.
+    Returns the words met, in walk order, and None.  Without ``tables`` the
+    walk stops after the sections of the first word whose permutation is not
+    the identity and returns that word's index in place of None; with
+    ``tables = (children, perms)`` it covers the whole closure and appends
+    each word's child indexes and image tuple.  Words in ``known`` are
+    neither added nor walked.  Raises BudgetExceeded when a new word's index
+    would reach ``budget``.
     """
     nxt, out = A._next, A._out
-    m = len(A.letters)
-    ident = tuple(range(m))
+    letters = range(len(A.letters))
+    ident = list(letters)
     index = {word: 0}
     words = [word]
-    children = [] if collect else None
-    perms = [] if collect else None
-    i = 0
-    while i < len(words):
-        w = words[i]
+    for i, w in enumerate(words):  # grows while it is walked
         row = []
         img = []
-        for x in range(m):
+        for x in letters:
             cur = x
             sec = []
             for s in w:
@@ -69,27 +68,25 @@ def _closure_scan(A: MealyAutomaton, word: Word, budget: int, collect: bool):
             img.append(cur)
             sec = tuple(sec)
             j = index.get(sec)
-            if j is None:
+            if j is None and sec not in known:
                 j = len(words)
                 if j >= budget:
                     raise BudgetExceeded(budget, "section closure")
                 index[sec] = j
                 words.append(sec)
             row.append(j)
-        if not collect and tuple(img) != ident:
-            return False
-        if collect:
-            children.append(tuple(row))
-            perms.append(tuple(img))
-        i += 1
-    if not collect:
-        return True
-    return words, children, perms
+        if tables is not None:
+            tables[0].append(tuple(row))
+            tables[1].append(tuple(img))
+        elif img != ident:
+            return words, i
+    return words, None
 
 
 def sections_closure(A: MealyAutomaton, w: WordLike, budget: int = DEFAULT_ORACLE_BUDGET) -> SectionTable:
     word = A.parse_word(w)
-    words, children, perms = _closure_scan(A, word, budget, collect=True)
+    children, perms = [], []
+    words, _ = _closure_walk(A, word, budget, tables=(children, perms))
     return SectionTable(A, word, tuple(words), tuple(children), tuple(perms))
 
 
@@ -120,34 +117,12 @@ def is_identity_oracle(A: MealyAutomaton, w: WordLike, budget: int = DEFAULT_ORA
         return True
     if word in memo.nontrivial:
         return False
-    nxt, out = A._next, A._out
-    m = len(A.letters)
-    ident = tuple(range(m))
-    index = {word}
-    todo = [word]
-    i = 0
-    while i < len(todo):
-        cur_w = todo[i]
-        i += 1
-        row_imgs = []
-        for x in range(m):
-            cur = x
-            sec = []
-            for s in cur_w:
-                sec.append(nxt[s][cur])
-                cur = out[s][cur]
-            row_imgs.append(cur)
-            sec = tuple(sec)
-            if sec not in index and sec not in memo.trivial:
-                if len(index) >= budget:
-                    raise BudgetExceeded(budget, "section closure")
-                index.add(sec)
-                todo.append(sec)
-        if tuple(row_imgs) != ident:
-            memo.nontrivial.add(word)
-            memo.nontrivial.add(cur_w)
-            return False
-    memo.trivial.update(index)
+    words, bad = _closure_walk(A, word, budget, known=memo.trivial)
+    if bad is not None:
+        memo.nontrivial.add(word)
+        memo.nontrivial.add(words[bad])
+        return False
+    memo.trivial.update(words)
     return True
 
 
@@ -169,8 +144,8 @@ def canonical_key(A: MealyAutomaton, w: WordLike, budget: int = DEFAULT_ORACLE_B
     the transducer are the closure's section words, merged by behavior, then
     numbered breadth-first from the root so the result is deterministic.
     """
-    word = A.parse_word(w)
-    _, children, perms = _closure_scan(A, word, budget, collect=True)
+    children, perms = [], []
+    _closure_walk(A, A.parse_word(w), budget, tables=(children, perms))
     return _minimal_keys(len(A.letters), children, perms, (0,))[0]
 
 
@@ -183,21 +158,8 @@ def _minimal_keys(m: int, children: list, perms: list, roots: Iterable[int]) -> 
     its output images.  The minimal transducer of a transformation is unique
     up to isomorphism, so any transducer of it gives the same key.
     """
-    n = len(children)
-    ids = {}
-    cls = [ids.setdefault(p, len(ids)) for p in perms]
-    count = len(ids)
-    if count < n:
-        # one signature per state and round: its class and its children's
-        getters = [itemgetter(*row) for row in children]
-        while True:
-            ids = {}
-            cls = [ids.setdefault((c, get(cls)), len(ids)) for c, get in zip(cls, getters)]
-            if len(ids) == count:
-                break
-            count = len(ids)
-
-    rep = dict(zip(cls, range(n)))  # any member stands for its class
+    cls = _partition(children, perms)
+    rep = dict(zip(cls, range(len(cls))))  # any member stands for its class
     keys = []
     for root in roots:
         order = {cls[root]: 0}

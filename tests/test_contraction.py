@@ -216,3 +216,32 @@ def test_malformed_header_numbers(basilica, header):
     weak = build_certificate(basilica, 1, 1, "item2")
     with pytest.raises(AutomatonFormatError):
         load_certificate(_with_header(weak, header), basilica, validate=False)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_load_rejects_identity_in_a_block(basilica, validate):
+    # the weak (1, 1) table with block a's two lines spelled with e instead
+    text = serialize_certificate(build_certificate(basilica, 1, 1, "item2"))
+    lines = text.splitlines()
+    assert [ln for ln in lines if ln.startswith("sect: a ")] == ["sect: a 0 -> -", "sect: a 1 -> b"]
+    swapped = [ln for ln in lines if not ln.startswith("sect: a ")] + ["sect: e 0 -> -", "sect: e 1 -> -"]
+    with pytest.raises(AutomatonFormatError, match="identity"):
+        load_certificate("\n".join(swapped) + "\n", basilica, validate=validate)
+
+
+def test_load_walks_each_block_once(basilica, monkeypatch):
+    from autgrp.contraction import _ScanContext
+
+    text = serialize_certificate(build_certificate(basilica, 6, 2, "item1"))
+    assert len(text.splitlines()) == 1 + 4**6 * 4  # 4,096 blocks of 4 branches
+    walks = []
+    walk = _ScanContext.walk_word
+
+    def spy(self, word):
+        walks.append(word)
+        return walk(self, word)
+
+    monkeypatch.setattr(_ScanContext, "walk_word", spy)
+    back = load_certificate(text, basilica)
+    assert len(walks) <= 4096
+    assert serialize_certificate(back) == text
