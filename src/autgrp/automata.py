@@ -539,6 +539,9 @@ class InverseClosure:
             names.setdefault(s, self.to_merged[i])
             names.setdefault(_inverse_name(s), self.inv_to_merged[i])
         self._names = names
+        # solve_auto's dispatch per (search_block, search_power), filled by
+        # solvers on first use and dropped with inverse_closure.cache_clear()
+        self.plans: dict = {}
 
     def parse(self, w: WordLike) -> Word:
         """Word over the merged states; accepts formal-inverse spellings."""

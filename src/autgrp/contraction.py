@@ -489,32 +489,46 @@ def load_certificate(text: str, A: MealyAutomaton, validate: bool = True,
     B = ctx.automaton
     six = {s: i for i, s in enumerate(B.states)}
     entries = {}
-    walks = {}  # one walk per block gives every branch
+    # each block text recurs once per branch, each branch text once per
+    # block: parse (and walk) every distinct token text once
+    blocks = {}  # block text -> (word, one walk code per branch)
+    branch_codes = {}  # branch text -> branch code
+    sections = {"-": ()}  # section text -> word
+    nb, reps = ctx.ball.size, ctx.ball.reps
     for ln in lines[1:]:
         if not ln.startswith("sect:"):
             raise AutomatonFormatError(f"unexpected line {ln!r}")
         toks = ln[5:].split()
         if len(toks) != 4 or toks[2] != "->":
             raise AutomatonFormatError(f"expected 'sect: w x -> w_x', got {ln!r}")
-        wtoks = toks[0].split(".")
-        if any(t not in six for t in wtoks):
-            raise UnknownLetter(toks[0], "block word")
-        word = tuple(six[t] for t in wtoks)
-        if len(word) != block:
-            raise AutomatonFormatError(f"block {toks[0]!r} is not {block} letters")
-        if B.identity in word:
-            raise AutomatonFormatError(f"block {toks[0]!r} holds the identity letter")
-        xcode = _parse_branch(B, power, toks[1])
-        out_word = () if toks[3] == "-" else tuple(six[t] for t in toks[3].split("."))
-        codes = walks.get(word)
-        if codes is None:
-            codes = walks[word] = ctx.walk_word(word)
-        next_x = ctx.branch_of_code(codes[xcode])
-        if validate and out_word != ctx.rep_of_code(codes[xcode]):
+        wtext, xtext, _, otext = toks
+        parsed = blocks.get(wtext)
+        if parsed is None:
+            wtoks = wtext.split(".")
+            if any(t not in six for t in wtoks):
+                raise UnknownLetter(wtext, "block word")
+            word = tuple(six[t] for t in wtoks)
+            if len(word) != block:
+                raise AutomatonFormatError(f"block {wtext!r} is not {block} letters")
+            if B.identity in word:
+                raise AutomatonFormatError(f"block {wtext!r} holds the identity letter")
+            parsed = blocks[wtext] = (word, ctx.walk_word(word))
+        word, codes = parsed
+        xcode = branch_codes.get(xtext)
+        if xcode is None:
+            xcode = branch_codes[xtext] = _parse_branch(B, power, xtext)
+        out_word = sections.get(otext)
+        if out_word is None:
+            otoks = otext.split(".")
+            if any(t not in six for t in otoks):
+                raise UnknownLetter(otext, "section word")
+            out_word = sections[otext] = tuple(six[t] for t in otoks)
+        code = codes[xcode]
+        if validate and out_word != reps[code % nb]:
             raise AutomatonFormatError(
-                f"entry for ({toks[0]}, {toks[1]}) does not match the recomputed section"
+                f"entry for ({wtext}, {xtext}) does not match the recomputed section"
             )
-        entries[(word, xcode)] = (out_word, next_x)
+        entries[(word, xcode)] = (out_word, code // nb)
 
     expected = len(ctx.enum) ** block * ctx.branches
     if len(entries) != expected:

@@ -435,6 +435,23 @@ def solve_oracle(A: MealyAutomaton, tape: TapeLike, budget: int = DEFAULT_ORACLE
     return StepReport("oracle", verdict, n, steps, 0, (n,), (max((len(s) for s in segments), default=0),), {})
 
 
+def _auto_plan(A: MealyAutomaton, search_block: int, search_power: int) -> Callable:
+    """solve_auto's dispatch for one automaton and box, as a function of
+    (A, tape).  Each solver is looked up when the plan runs, so a wrapper
+    set on this module's name later still sees every call."""
+    cert = best_certificate(A, search_block, search_power)
+    if cert is not None:
+        if A.identity is not None and classify_activity(A).is_bounded:
+            return lambda A, tape: solve_bounded(A, cert, tape)
+        return lambda A, tape: solve_contracting(A, cert, tape)
+    if A.identity is not None:
+        cls = classify_activity(A)
+        if cls.kind == "polynomial":
+            flattened, _ = loopify(A)
+            return lambda A, tape: solve_polynomial(flattened, cls.degree, tape)
+    return lambda A, tape: solve_oracle(A, tape)
+
+
 def solve_auto(
     A: MealyAutomaton,
     tape: TapeLike,
@@ -442,15 +459,15 @@ def solve_auto(
     search_power: int = 2,
 ) -> StepReport:
     """Dispatch: certificate search, then activity classification, then the
-    exponential oracle as a last resort."""
-    cert = best_certificate(A, search_block, search_power)
-    if cert is not None:
-        if A.identity is not None and classify_activity(A).is_bounded:
-            return solve_bounded(A, cert, tape)
-        return solve_contracting(A, cert, tape)
-    if A.identity is not None:
-        cls = classify_activity(A)
-        if cls.kind == "polynomial":
-            flattened, _ = loopify(A)
-            return solve_polynomial(flattened, cls.degree, tape)
-    return solve_oracle(A, tape)
+    exponential oracle as a last resort.
+
+    The dispatch is worked out once per automaton and box and kept on the
+    automaton's ``InverseClosure``, so later words reuse the certificate
+    (its dense table and lazy memo included); ``inverse_closure.cache_clear()``
+    drops it.  A search that raises keeps nothing."""
+    plans = inverse_closure(A).plans
+    box = (search_block, search_power)
+    plan = plans.get(box)
+    if plan is None:
+        plan = plans[box] = _auto_plan(A, search_block, search_power)
+    return plan(A, tape)

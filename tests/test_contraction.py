@@ -245,3 +245,27 @@ def test_load_walks_each_block_once(basilica, monkeypatch):
     back = load_certificate(text, basilica)
     assert len(walks) <= 4096
     assert serialize_certificate(back) == text
+
+
+def test_load_parses_each_branch_text_once(basilica, monkeypatch):
+    from autgrp import contraction
+
+    text = serialize_certificate(build_certificate(basilica, 3, 2, "item1"))
+    parsed = []
+    parse_branch = contraction._parse_branch
+    monkeypatch.setattr(contraction, "_parse_branch", lambda *a: parsed.append(a[2]) or parse_branch(*a))
+    back = load_certificate(text, basilica)
+    assert sorted(parsed) == ["00", "01", "10", "11"]
+    assert serialize_certificate(back) == text
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_load_rejects_unknown_section_letters(basilica, validate):
+    from autgrp.errors import UnknownLetter
+
+    lines = serialize_certificate(build_certificate(basilica, 1, 1, "item2")).splitlines()
+    assert lines[-1] == "sect: B 1 -> A"
+    for bad in ("z", "a.z", "a..b"):
+        text = "\n".join(lines[:-1] + [f"sect: B 1 -> {bad}"]) + "\n"
+        with pytest.raises(UnknownLetter, match="section word"):
+            load_certificate(text, basilica, validate=validate)
