@@ -106,13 +106,15 @@ def _register(name, description, default_range, runner):
 
 _register(
     "basilica-ab",
-    "(ab)^(2^m) on the two-state torsion-free automaton, certificate-driven solver",
+    "(ab)^(2^m) on the two-state torsion-free automaton, certificate-driven solver; "
+    "bounded (activity degree 0): n log n",
     range(4, 15),
     _basilica_runner,
 )
 _register(
     "poly1-comm",
-    "(b a b a^-1)^(2^m) on the linear-activity automaton, reset-rule solver",
+    "(b a b a^-1)^(2^m) on the linear-activity automaton, reset-rule solver; "
+    "activity degree 1, so n (log n)^d with d = degree + 1 = 2: n log^2 n",
     range(3, 12),
     _poly1_runner,
 )
@@ -145,10 +147,11 @@ def run_bench(
     """Run one family over the index range and collect (m, n, stages, steps)."""
     if isinstance(family, str):
         family = get_family(family)
-    if m_range is None:
-        m_range = family.default_range
+    ms = list(family.default_range if m_range is None else m_range)
+    if any(m < 0 for m in ms):  # a family's word has about 2**m letters
+        raise AutomatonFormatError(f"bench index m must be >= 0, got {min(ms)}")
     rows = []
-    for m in m_range:
+    for m in ms:
         rep = family.run(m, seed)
         rows.append(BenchRow(m, rep.input_length, rep.stages, rep.steps))
     return rows
@@ -286,6 +289,8 @@ def fit_complexity(rows: Sequence, models: Optional[Iterable[str]] = None) -> Fi
     if len(pts) < 2:
         raise AutomatonFormatError("need at least two rows to fit")
     names = tuple(models) if models is not None else DEFAULT_MODELS
+    if not names:
+        raise AutomatonFormatError("no complexity model to fit")
     for name in names:
         if name not in MODELS:
             raise UnknownLetter(name, "complexity model")

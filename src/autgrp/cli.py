@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 from typing import Optional
@@ -23,7 +24,7 @@ from .contraction import (
     check_item_sampled,
     classify_activity,
 )
-from .errors import AutgrpError, CertificateNotFound
+from .errors import AutgrpError, AutomatonFormatError, CertificateNotFound
 from .solvers import (
     best_certificate,
     solve_auto,
@@ -300,17 +301,20 @@ def _cmd_bench(args) -> int:
 def _cmd_fit(args) -> int:
     from .bench import fit_complexity
 
-    rows = []
     with open(args.input, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                rows.append(tuple(int(float(p)) for p in parts))
-            except ValueError:
-                continue  # header row
+        lines = [(i, line.strip()) for i, line in enumerate(fh, 1)]
+    rows = []
+    data = [(i, line) for i, line in lines if line and not line.startswith("#")]
+    for k, (lineno, line) in enumerate(data):
+        try:
+            values = [float(p) for p in line.split(",")]
+        except ValueError:
+            values = None
+        if values is None and k == 0:
+            continue  # the header: only the first line may hold no numbers
+        if values is None or not all(map(math.isfinite, values)):
+            raise AutomatonFormatError(f"{args.input} line {lineno}: expected finite numbers, got {line!r}")
+        rows.append(tuple(int(v) for v in values))
     models = None if args.models is None else tuple(m.strip() for m in args.models.split(",") if m.strip())
     fit = fit_complexity(rows, models)
     _emit(

@@ -9,13 +9,14 @@ tape.  Every symbol read or written on any simulated tape counts as one
 elementary step; those counts, not wall-clock time, are what the benchmark
 fitter consumes.
 
-Two engines run the stages and report identical counts: the Python loop
-here, over one list per segment, and the array engine of ``vectorized``,
-which runs each stage as numpy passes over the whole tape.  The array
-engine takes certificates whose table is dense over every block (and the
-reset-rule solver's literal sections) on tapes of at least
-``_VECTOR_MIN_LETTERS`` letters; everything else, lazy certificates
-included, stays on the Python loop.
+One driver, ``_drive``, runs the stage loop and counts every step; two
+engines supply the tape and its phases (drop the short segments, rewrite
+the rest), so they report identical counts.  The Python tape here holds one
+list per segment; the array tape of ``vectorized`` runs each phase as numpy
+passes over the whole tape.  The array engine takes certificates whose
+table is dense over every block (and the reset-rule solver's literal
+sections) on tapes of at least ``_VECTOR_MIN_LETTERS`` letters; everything
+else, lazy certificates included, stays on the Python tape.
 """
 
 from __future__ import annotations
@@ -117,9 +118,7 @@ def _require_cert(A: MealyAutomaton, cert: ContractionCertificate) -> None:
         raise CertificateMismatch("certificate was built for a different automaton")
 
 
-def _contracting_cap(cert: ContractionCertificate, n: int, override: Optional[int]) -> int:
-    if override is not None:
-        return override
+def _contracting_cap(cert: ContractionCertificate, n: int) -> int:
     ln = math.log2(max(n, 2))
     if cert.mode == "item2":
         # the weak mode has no proven per-stage shrink factor; hard cap
@@ -209,26 +208,18 @@ def _fixes_every_branch(rw, seg) -> bool:
 
 
 class _Rules(NamedTuple):
-    """What differs between the solvers that share the stage engines.
+    """What differs between the solvers that share the stage driver.
 
-    ``cap`` maps the input length to the stage cap.  ``perm_scan`` charges
-    the branch-permutation check a tape scan of its own; the reset-rule
-    solver without a certificate folds it into the first scan.
+    ``cap`` maps the input length to the stage cap.  The rest follows from
+    ``method``: every method but ``contracting`` strips identity letters
+    from rewritten tails, and ``polynomial`` applies the reset rule and
+    raises ``StageGuardExceeded`` past its cap where the others raise
+    ``NonTermination``.
     """
 
     method: str
-    strip: bool
     cap: Callable[[int], int]
     detail: tuple = ()
-    cap_kind: type = NonTermination
-    reset_rule: bool = False
-    perm_scan: bool = True
-
-    def report(self, verdict, n, steps, stages, stage_tape, stage_maxseg, cap) -> StepReport:
-        detail = {**dict(self.detail), "stage_cap": cap}
-        return StepReport(
-            self.method, verdict, n, steps, stages, tuple(stage_tape), tuple(stage_maxseg), detail
-        )
 
 
 # Below this many letters a stage is cheaper as Python lists than as a
@@ -240,10 +231,7 @@ _VECTOR_MIN_LETTERS = 256
 
 def _run_stages(rw, rules: _Rules, tape: TapeLike) -> StepReport:
     """Pick the engine: the array engine for dense tables on tapes of at
-    least ``_VECTOR_MIN_LETTERS`` letters, the Python loop otherwise."""
-    if rules.strip and rw.automaton.identity is None:
-        raise NoIdentityState("identity-letter removal needs an identity state")
-    segments = None
+    least ``_VECTOR_MIN_LETTERS`` letters, the Python tape otherwise."""
     if not (isinstance(tape, str) and len(tape) < _VECTOR_MIN_LETTERS):
         from . import vectorized
 
@@ -252,91 +240,98 @@ def _run_stages(rw, rules: _Rules, tape: TapeLike) -> StepReport:
             letters, lens = table.parse(tape)
             if len(letters) >= _VECTOR_MIN_LETTERS:
                 return vectorized.run_stages(rw, table, letters, lens, rules)
-            segments = _split(letters, lens)
-    if segments is None:
-        segments = _parse_tape(rw.closure.parse, tape)
-    return _python_stages(rw, segments, rules)
+    # the Python tape reads its own lists, also of a tape the table parsed
+    return _python_stages(rw, _parse_tape(rw.closure.parse, tape), rules)
 
 
-def _split(letters, lens) -> list[list[int]]:
-    """Python segments of a letter array and its segment lengths."""
-    flat = letters.tolist()
-    segments = []
-    i = 0
-    for n in lens.tolist():
-        segments.append(flat[i : i + n])
-        i += n
-    return segments
+class _ListTape:
+    """The Python tape: one list of letters per segment."""
+
+    __slots__ = ("lists", "letters", "segments")
+
+    def __init__(self, lists: list[list[int]]):
+        self.lists = lists
+        self.letters = sum(map(len, lists))
+        self.segments = len(lists)
+
+    def max_segment(self) -> int:
+        return max(map(len, self.lists), default=0)
+
+    def drop_short(self, rw) -> Optional[_ListTape]:
+        """The segments of at least a block, or None when a shorter one is
+        nontrivial by the ball walk."""
+        keep = []
+        for seg in self.lists:
+            if len(seg) >= rw.block:
+                keep.append(seg)
+            elif not rw.is_trivial_short(seg):
+                return None
+        return _ListTape(keep)
+
+    def rewrite(self, rw, rules: _Rules) -> Optional[_ListTape]:
+        """The nonempty sections of every segment, branch by branch, or None
+        when a segment permutes a branch."""
+        if not all(_fixes_every_branch(rw, seg) for seg in self.lists):
+            return None
+        strip = rules.method != "contracting"
+        reset = rules.method == "polynomial"
+        branch_tapes: list[list[list[int]]] = [[] for _ in range(rw.branches)]
+        for seg in self.lists:
+            for x, tape_x in enumerate(branch_tapes):
+                out = _mx(rw, seg, x, strip)
+                if out and not (reset and out == seg):
+                    tape_x.append(out)
+        return _ListTape([out for tape_x in branch_tapes for out in tape_x])
 
 
-def _python_stages(rw, segments: list[list[int]], rules: _Rules) -> StepReport:
-    """The stage loop, one Python list per segment and branch."""
-    n = sum(len(s) for s in segments)
+def _drive(rw, tape, rules: _Rules) -> StepReport:
+    """The stage loop of every staged solver, over either engine's tape: a
+    ``_ListTape`` or a ``vectorized._ArrayTape``.
+
+    Each stage charges one scan of the tape for the short-segment check,
+    one of the kept letters for the branch-permutation check (folded into
+    the first scan for the literal sections), one more for reading the
+    blocks, one per output letter and per (segment, branch) written, and
+    two per letter and separator copied back."""
+    n = tape.letters
     cap = rules.cap(n)
-    L = rw.block
-    branches = rw.branches
-
     steps = 0
     stages = 0
     stage_tape = []
     stage_maxseg = []
-    verdict = None
     while True:
-        total = sum(len(s) for s in segments) + max(0, len(segments) - 1)
+        total = tape.letters + max(0, tape.segments - 1)
         stage_tape.append(total)
-        stage_maxseg.append(max((len(s) for s in segments), default=0))
-        if not segments:
+        stage_maxseg.append(tape.max_segment())
+        if not tape.segments:
             verdict = True
             break
         if stages > cap:
-            raise rules.cap_kind(stages, cap)
-
-        # short segments: decide by ball walk, never by the block tables
+            raise (StageGuardExceeded if rules.method == "polynomial" else NonTermination)(stages, cap)
         steps += total
-        keep = []
-        for seg in segments:
-            if len(seg) < L:
-                if not rw.is_trivial_short(seg):
-                    verdict = False
-                    break
-            else:
-                keep.append(seg)
-        if verdict is not None:
+        tape = tape.drop_short(rw)
+        if tape is None or not tape.segments:
+            verdict = tape is not None  # or every segment was short and trivial
             break
-        if not keep:
-            verdict = True
-            break
-
-        # branch permutations must all be trivial
-        if rules.perm_scan:
-            steps += sum(len(s) for s in keep)
-        if not all(_fixes_every_branch(rw, seg) for seg in keep):
+        kept, segments = tape.letters, tape.segments
+        if not isinstance(rw, _LiteralSections):
+            steps += kept
+        tape = tape.rewrite(rw, rules)
+        if tape is None:
             verdict = False
             break
-
-        # block rewrite onto one tape per branch, then copy back with
-        # separator squeezing
-        steps += sum(len(s) for s in keep)
-        branch_tapes: list[list[list[int]]] = [[] for _ in range(branches)]
-        for seg in keep:
-            for x in range(branches):
-                out = _mx(rw, seg, x, rules.strip)
-                if rules.reset_rule and out == seg:
-                    out = []
-                steps += len(out) + 1
-                if out:
-                    branch_tapes[x].append(out)
-        copied = sum(sum(len(o) + 1 for o in tape_x) for tape_x in branch_tapes)
-        steps += 2 * copied
-        segments = [o for tape_x in branch_tapes for o in tape_x]
+        steps += kept + rw.branches * segments + 3 * tape.letters + 2 * tape.segments
         stages += 1
+    detail = {**dict(rules.detail), "stage_cap": cap}
+    return StepReport(rules.method, verdict, n, steps, stages, tuple(stage_tape), tuple(stage_maxseg), detail)
 
-    return rules.report(verdict, n, steps, stages, stage_tape, stage_maxseg, cap)
+
+def _python_stages(rw, segments: list[list[int]], rules: _Rules) -> StepReport:
+    """The stage loop on the Python tape."""
+    return _drive(rw, _ListTape(segments), rules)
 
 
-def _polynomial_cap(n: int, degree: int, override: Optional[int]) -> int:
-    if override is not None:
-        return override
+def _polynomial_cap(n: int, degree: int) -> int:
     return math.ceil(4 * (math.log2(max(n, 2)) + 1) ** (degree + 1))
 
 
@@ -349,22 +344,20 @@ def _plan(
 ) -> tuple:
     """The rewriter and the rules of one solver: ``contracting``,
     ``bounded``, or ``polynomial`` with or without a certificate."""
-    if method == "polynomial":
-        cap = functools.partial(_polynomial_cap, degree=degree, override=stage_cap)
-        if cert is None:
-            if inverse_closure(A).automaton.identity is None:
-                raise NoIdentityState("the reset-rule solver needs an identity state")
-            rules = _Rules(
-                method, True, cap, (("degree", degree),), StageGuardExceeded, True, perm_scan=False
-            )
-            return _literal_sections(A), rules
-        kind, reset = StageGuardExceeded, True
+    if stage_cap is not None:
+        cap = lambda n: stage_cap
+    elif method == "polynomial":
+        cap = functools.partial(_polynomial_cap, degree=degree)
     else:
-        cap = functools.partial(_contracting_cap, cert, override=stage_cap)
-        kind, reset = NonTermination, False
-    _require_cert(A, cert)
-    detail = (("mode", cert.mode), ("block", cert.block), ("power", cert.power))
-    return cert, _Rules(method, method != "contracting", cap, detail, kind, reset)
+        cap = functools.partial(_contracting_cap, cert)
+    if method == "polynomial" and cert is None:
+        rw, detail = _literal_sections(A), (("degree", degree),)
+    else:
+        _require_cert(A, cert)
+        rw, detail = cert, (("mode", cert.mode), ("block", cert.block), ("power", cert.power))
+    if method != "contracting" and rw.automaton.identity is None:
+        raise NoIdentityState(f"the {method} solver strips identity letters and needs an identity state")
+    return rw, _Rules(method, cap, detail)
 
 
 def solve_contracting(
@@ -407,6 +400,10 @@ def solve_polynomial(
 
     With a certificate supplied, block rewriting, stripping, and the reset
     rule are combined under this mode's stage guard.
+
+    The paper's bound for polynomial automata, ``n (log n)^d``, has
+    ``d = degree + 1`` in this convention: degree 0 (bounded) gives
+    ``n log n`` and degree 1 (``poly1``) gives ``n log^2 n``.
     """
     if degree < 0:
         raise AutomatonFormatError("degree must be >= 0")

@@ -1,13 +1,15 @@
-"""The array stage engine: a whole stage of the staged solvers as numpy
-passes over the tape.
+"""The array stage engine: the phases of a stage of the staged solvers as
+numpy passes over the tape.
 
-The tape is one letter array plus an array of segment lengths.  A stage
-cuts the kept segments into units (full blocks and tail letters), composes
-their branch maps by a prefix scan over the whole tape, rejects on a
-segment whose map is not the identity, and spells each branch's output
-from a dense table of every unit and branch, branch by branch so that
-temporaries stay one unit array wide.  Step counts and table reads follow
-the formulas of ``solvers._python_stages`` exactly.
+The tape is one letter array plus an array of segment lengths.  The
+rewrite phase cuts the kept segments into units (full blocks and tail
+letters), composes their branch maps by a prefix scan over the whole tape,
+rejects on a segment whose map is not the identity, and spells each
+branch's output from a dense table of every unit and branch, branch by
+branch so that temporaries stay one unit array wide.  Steps are counted
+once, by ``solvers._drive``, for both engines; this module counts only the
+table reads, ``branches`` per full block, as ``ContractionCertificate.entry``
+counts them on the Python tape.
 
 Gathers go through ``take`` and selections through ``compress``: on the
 int16 index arrays and data-dependent masks of a stage, subscripting was
@@ -28,10 +30,10 @@ from typing import Optional
 import numpy as np
 
 from .contraction import DEFAULT_TABLE_BUDGET, ContractionCertificate
-from .solvers import StepReport, TapeLike, _parse_tape, _Rules
+from .solvers import StepReport, TapeLike, _drive, _parse_tape, _Rules
 
 # Branch maps compose through the product table of the permutation group
-# they generate; a larger group keeps its certificate on the Python loop.
+# they generate; a larger group keeps its certificate on the Python tape.
 _MAX_BRANCH_GROUP = 256
 
 # glibc malloc thresholds, fixed at the ceilings its dynamic thresholds
@@ -345,81 +347,68 @@ def dense_table(rw) -> Optional[DenseTable]:
     return rw.dense_table or None
 
 
+class _ArrayTape:
+    """The array tape: the letters of every segment in one array, and the
+    segment lengths."""
+
+    __slots__ = ("table", "array", "lens", "letters", "segments")
+
+    def __init__(self, table: DenseTable, array: np.ndarray, lens: np.ndarray):
+        self.table = table
+        self.array = array
+        self.lens = lens
+        self.letters = len(array)
+        self.segments = len(lens)
+
+    def max_segment(self) -> int:
+        return int(self.lens.max()) if self.segments else 0
+
+    def drop_short(self, rw) -> Optional[_ArrayTape]:
+        """The segments of at least a block, or None when a shorter one is
+        nontrivial by the ball walk."""
+        table, letters, lens = self.table, self.array, self.lens
+        L = table.block
+        if L == 1 or lens.min() >= L:
+            return self
+        short = lens < L
+        if not table.short_trivial(letters, lens, short):
+            return None
+        return _ArrayTape(table, np.compress(np.repeat(~short, lens), letters), np.compress(~short, lens))
+
+    def rewrite(self, rw, rules: _Rules) -> Optional[_ArrayTape]:
+        """One block-rewrite pass: the nonempty outputs in branch-major
+        order, or None when some segment permutes a branch.  Branches are
+        spelled one at a time, so temporaries stay one unit array wide."""
+        table, letters, lens = self.table, self.array, self.lens
+        code, units, blocks = table.units(letters, lens)
+        last = np.cumsum(units) - 1
+        before = table.branch_prefix(code, last)
+        if before is None:
+            return None
+        strip = rules.method != "contracting"
+        reset = rules.method == "polynomial"
+        R = table.branches
+        rw.table_reads += R * blocks
+        first = last - units + 1
+        code *= R
+        chunks, seg_lens = [], []
+        for x in range(R):
+            cells = table.image_t[x].take(before)  # the branch entering each unit
+            cells += code
+            out, seg_len = table.spell(cells, first, strip)
+            del cells
+            if reset:
+                out, seg_len = _reset(out, seg_len, letters, lens)
+            chunks.append(out)
+            seg_lens.append(seg_len)
+        del code, before
+        seg_len = np.concatenate(seg_lens)
+        return _ArrayTape(table, np.concatenate(chunks), np.compress(seg_len > 0, seg_len))
+
+
 def run_stages(rw, table: DenseTable, letters: np.ndarray, lens: np.ndarray, rules: _Rules) -> StepReport:
-    """The stage loop of ``solvers._python_stages`` as array passes over
-    the whole tape, with the same counts computed arithmetically."""
-    n = len(letters)
-    cap = rules.cap(n)
-    L, R = table.block, table.branches
-    steps = 0
-    stages = 0
-    stage_tape = []
-    stage_maxseg = []
-    while True:
-        k = len(lens)
-        stage_tape.append(len(letters) + max(0, k - 1))
-        stage_maxseg.append(int(lens.max()) if k else 0)
-        if not k:
-            verdict = True
-            break
-        if stages > cap:
-            raise rules.cap_kind(stages, cap)
-
-        steps += stage_tape[-1]
-        if L > 1 and lens.min() < L:
-            short = lens < L
-            if not table.short_trivial(letters, lens, short):
-                verdict = False
-                break
-            letters = np.compress(np.repeat(~short, lens), letters)
-            lens = np.compress(~short, lens)
-            if not len(lens):
-                verdict = True
-                break
-
-        kept = len(letters)
-        if rules.perm_scan:
-            steps += kept
-        done = _rewrite(rw, table, letters, lens, rules)
-        if done is None:
-            verdict = False
-            break
-        letters, seg_len = done
-        del done  # nothing but the new tape may outlive this stage
-        steps += kept + len(letters) + R * len(lens)
-        lens = np.compress(seg_len > 0, seg_len)
-        steps += 2 * (len(letters) + len(lens))
-        stages += 1
-
-    return rules.report(verdict, n, steps, stages, stage_tape, stage_maxseg, cap)
-
-
-def _rewrite(rw, table: DenseTable, letters: np.ndarray, lens: np.ndarray, rules: _Rules):
-    """One block-rewrite pass: the next tape in branch-major order and the
-    length of each (branch, segment) output, or None when some segment
-    permutes a branch.  Branches are spelled one at a time, so temporaries
-    stay one unit array wide."""
-    code, units, blocks = table.units(letters, lens)
-    last = np.cumsum(units) - 1
-    before = table.branch_prefix(code, last)
-    if before is None:
-        return None
-    R = table.branches
-    rw.table_reads += R * blocks
-    first = last - units + 1
-    code *= R
-    chunks, seg_lens = [], []
-    for x in range(R):
-        cells = table.image_t[x].take(before)  # the branch entering each unit
-        cells += code
-        out, seg_len = table.spell(cells, first, rules.strip)
-        del cells
-        if rules.reset_rule:
-            out, seg_len = _reset(out, seg_len, letters, lens)
-        chunks.append(out)
-        seg_lens.append(seg_len)
-    del code, before
-    return np.concatenate(chunks), np.concatenate(seg_lens)
+    """The stage loop on the array tape."""
+    return _drive(rw, _ArrayTape(table, letters, lens), rules)
 
 
 def _reset(out: np.ndarray, seg_len: np.ndarray, letters: np.ndarray, lens: np.ndarray):

@@ -136,3 +136,18 @@ def test_lower_bound_curve(adding):
         assert bound == pytest.approx(n * math.log2(2 * n + 1))
     values = [b for _, b in curve]
     assert values == sorted(values)
+
+
+def test_negative_index_is_a_format_error():
+    from autgrp.errors import AutomatonFormatError
+
+    for family in ("poly1-comm", "basilica-ab", "z4-halving"):
+        with pytest.raises(AutomatonFormatError, match="m must be >= 0"):
+            run_bench(family, range(-1, 1))
+
+
+def test_empty_model_list_is_a_format_error():
+    from autgrp.errors import AutomatonFormatError
+
+    with pytest.raises(AutomatonFormatError, match="no complexity model"):
+        fit_complexity([(8, 100), (16, 300)], ())

@@ -355,3 +355,43 @@ def test_growth_loads_no_numpy():
     lines = proc.stdout.splitlines()
     assert lines[0] == "n,gamma,n_log2_gamma"
     assert lines[-1] == "0 False"
+
+
+def test_bench_negative_index_exits_2(capsys):
+    rc, out, err = run(capsys, "bench", "--family", "basilica-ab", "--m-lo", "-1", "--m-hi", "0")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "m must be >= 0" in err
+
+
+def _fit_file(tmp_path, text):
+    path = tmp_path / "rows.csv"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_fit_infinite_row_exits_2(tmp_path, capsys):
+    path = _fit_file(tmp_path, "n,steps\n8,100\n16,inf\n32,900\n")
+    rc, _, err = run(capsys, "fit", "--input", path)
+    assert rc == 2
+    assert err.startswith("error:") and "line 3" in err and "finite numbers" in err
+
+
+def test_fit_unparsable_data_row_exits_2(tmp_path, capsys):
+    # only the first line may be a header; a nan row or a stray word later
+    # is an error, not a row to skip
+    for bad in ("16,nan", "nan,300", "16,three hundred", "n,steps"):
+        path = _fit_file(tmp_path, f"# seed=0\nn,steps\n8,100\n{bad}\n32,900\n64,2000\n")
+        rc, _, err = run(capsys, "fit", "--input", path)
+        assert rc == 2, bad
+        assert err.startswith("error:") and "line 4" in err, (bad, err)
+    path = _fit_file(tmp_path, "8,100\nn,steps\n32,900\n")
+    rc, _, err = run(capsys, "fit", "--input", path)
+    assert rc == 2 and "line 2" in err
+
+
+def test_fit_empty_model_list_exits_2(tmp_path, capsys):
+    path = _fit_file(tmp_path, "n,steps\n8,100\n16,300\n")
+    rc, _, err = run(capsys, "fit", "--input", path, "--models", ",")
+    assert rc == 2
+    assert err.startswith("error:") and "no complexity model" in err
