@@ -27,6 +27,7 @@ from typing import Iterable, Sequence, Union
 
 from .errors import (
     AutomatonFormatError,
+    BudgetExceeded,
     DuplicateState,
     MissingTransition,
     NonInvertibleState,
@@ -36,6 +37,9 @@ from .errors import (
 # A word is an interned tuple of state indexes.
 Word = tuple[int, ...]
 WordLike = Union[str, Sequence[Union[int, str]]]
+# cap on the digits threaded by an alphabet power's tables, the size of
+# words.DEFAULT_BALL_BUDGET
+_POWER_BUDGET = 1_000_000
 
 
 def _check_name(name: str, kind: str, allow_dot: bool = False) -> None:
@@ -400,9 +404,13 @@ def _power_tables(A: MealyAutomaton, k: int) -> tuple[list[list[int]], list[list
     """Per-state section and output tables over length-k branch words.
 
     Branch words are encoded as base-|X| integers, first letter most
-    significant, matching lexicographic enumeration order.
+    significant, matching lexicographic enumeration order.  Raises
+    BudgetExceeded if the tables would thread more than ``_POWER_BUDGET``
+    digits in all (|S| * |X|^k * k, with |X|^k never computed for large k).
     """
     m = len(A.letters)
+    if len(A.states) * k * m ** min(k, 64) > _POWER_BUDGET:
+        raise BudgetExceeded(_POWER_BUDGET, "alphabet power")
     mk = m**k
     secs, outs = [], []
     for s in range(len(A.states)):
@@ -432,11 +440,11 @@ def alphabet_power(A: MealyAutomaton, k: int) -> MealyAutomaton:
         raise AutomatonFormatError("alphabet power requires k >= 1")
     if k == 1:
         return A
+    secs, outs = _power_tables(A, k)
     single = all(len(x) == 1 for x in A.letters)
     letters = [
         "".join(t) if single else ".".join(t) for t in product(A.letters, repeat=k)
     ]
-    secs, outs = _power_tables(A, k)
     return MealyAutomaton(letters, A.states, secs, outs, identity=A.identity)
 
 

@@ -286,8 +286,8 @@ def fit_complexity(rows: Sequence, models: Optional[Iterable[str]] = None) -> Fi
     with a vanishing coefficient win.
     """
     pts = _extract_points(rows)
-    if len(pts) < 2:
-        raise AutomatonFormatError("need at least two rows to fit")
+    if len({p[0] for p in pts}) < 2:
+        raise AutomatonFormatError("need rows with at least two distinct n to fit")
     names = tuple(models) if models is not None else DEFAULT_MODELS
     if not names:
         raise AutomatonFormatError("no complexity model to fit")

@@ -590,106 +590,42 @@ class ActivityClass:
         return "exponential"
 
 
-def _nontrivial_graph(A: MealyAutomaton):
-    """Adjacency with letter multiplicity among nontrivial states."""
-    ident = A.identity
-    nodes = [s for s in range(len(A.states)) if s != ident]
-    adj = {s: [] for s in nodes}
-    for s in nodes:
-        for t in A._next[s]:
-            if t != ident:
-                adj[s].append(t)
-    return nodes, adj
-
-
-def _sccs(nodes, adj):
-    """Iterative Tarjan; returns list of components (each a list of nodes)."""
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    comps = []
-    counter = [0]
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
 def _cycle_structure(A: MealyAutomaton):
-    """(exponential?, cyclic component sizes, max cyclic components on a path)."""
-    nodes, adj = _nontrivial_graph(A)
-    comps = _sccs(nodes, adj)
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    cyclic = [False] * len(comps)
-    sizes = []
-    for i, comp in enumerate(comps):
-        members = set(comp)
-        internal = {v: sum(1 for t in adj[v] if t in members) for v in comp}
-        total_internal = sum(internal.values())
-        if any(c >= 2 for c in internal.values()):
-            return True, [], 0
-        if total_internal:
-            # strongly connected with out-degree <= 1 inside: a single cycle
-            cyclic[i] = True
-            sizes.append(len(comp))
-    # condensation is a DAG; Tarjan emits components in reverse topological
-    # order, so children are already finished when a component is processed
-    best = [0] * len(comps)
-    for i, comp in enumerate(comps):
-        children = set()
-        for v in comp:
-            for t in adj[v]:
-                j = comp_of[t]
-                if j != i:
-                    children.add(j)
-        down = max((best[j] for j in children), default=0)
-        best[i] = down + (1 if cyclic[i] else 0)
-    return False, sizes, max(best, default=0)
+    """(exponential?, cycle lengths, most cycles on one path), read off the
+    sets of nontrivial states each nontrivial state reaches in one or more moves."""
+    ident = A.identity
+    reach = {}
+    for s in range(len(A.states)):
+        if s == ident:
+            continue
+        seen, todo = set(), [s]
+        while todo:
+            for t in A._next[todo.pop()]:
+                if t != ident and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach[s] = seen
+    cycle = {s: {t for t in seen if s in reach[t]} for s, seen in reach.items() if s in seen}
+    # moves counted per letter: a double self-loop already shares its state
+    if any(sum(t in cycle[s] for t in A._next[s]) >= 2 for s in cycle):
+        return True, [], 0
+    # a cycle reachable from another has a strictly smaller reach set, so in
+    # this order every cycle below s is finished before s
+    chain = {}
+    for s in sorted(cycle, key=lambda s: len(reach[s])):
+        chain[s] = 1 + max((chain[t] for t in reach[s] - cycle[s] if t in cycle), default=0)
+    lengths = [len(c) for s, c in cycle.items() if s == min(c)]
+    return False, lengths, max(chain.values(), default=0)
 
 
 def classify_activity(A: MealyAutomaton) -> ActivityClass:
     """Bounded / polynomial / exponential per-level section counts.
 
     Expects a minimal automaton with an identity state: cycle structure is
-    read off the literal transition graph of the nontrivial states.
+    read off the literal transition graph of the nontrivial states (Sidki's
+    circuit criterion).  Two cycles sharing a state make it exponential;
+    otherwise the degree is the number of cycles on the longest chain of
+    cycles minus one, and degree 0 is bounded.
     """
     if A.identity is None:
         raise NoIdentityState("classification needs an identity state")
@@ -711,9 +647,9 @@ def classify_activity(A: MealyAutomaton) -> ActivityClass:
 def activity_count(A: MealyAutomaton, s, n: int) -> int:
     """Number of depth-n branches below which the state still acts."""
     if isinstance(s, str):
-        if s not in A._six:
-            raise UnknownLetter(s, "state")
-        s = A._six[s]
+        s = A._six.get(s, s)
+    if s not in range(len(A.states)):
+        raise UnknownLetter(s, "state")
     if n < 0:
         raise AutomatonFormatError("level must be >= 0")
     ident = A.identity

@@ -156,3 +156,21 @@ def test_empty_word_spellings(grig):
     assert grig.parse_word("") == ()
     assert grig.parse_word("-") == ()
     assert apply(grig, "-", "0101") == "0101"
+
+
+def test_alphabet_power_past_the_budget_raises_before_building(grig):
+    import time
+
+    from autgrp.contraction import check_item
+    from autgrp.errors import BudgetExceeded
+
+    one_letter = parse_automaton("alphabet: 0\nstates: e\nidentity: e\ntrans: e 0 -> e 0\n")
+    start = time.perf_counter()
+    # |S| * |X|^k * k digits: 5 * 2^14 * 14 and, with one letter, 10^9 * 1
+    for call in (lambda: alphabet_power(grig, 14), lambda: alphabet_power(grig, 10**9),
+                 lambda: alphabet_power(one_letter, 10**9), lambda: check_item(grig, 1, 24, "item1")):
+        with pytest.raises(BudgetExceeded) as err:
+            call()
+        assert (err.value.budget, err.value.what) == (10**6, "alphabet power")
+    assert time.perf_counter() - start < 1.0
+    assert len(alphabet_power(grig, 3).letters) == 8

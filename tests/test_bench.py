@@ -151,3 +151,12 @@ def test_empty_model_list_is_a_format_error():
 
     with pytest.raises(AutomatonFormatError, match="no complexity model"):
         fit_complexity([(8, 100), (16, 300)], ())
+
+
+def test_one_distinct_n_is_a_format_error():
+    from autgrp.errors import AutomatonFormatError
+
+    # two rows at one n leave every shape an equal, meaningless residual
+    with pytest.raises(AutomatonFormatError, match="two distinct n"):
+        fit_complexity([(8, 100), (8, 300)])
+    assert fit_complexity([(8, 100), (8, 300), (16, 700)]).winner in DEFAULT_MODELS

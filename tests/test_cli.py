@@ -395,3 +395,21 @@ def test_fit_empty_model_list_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "fit", "--input", path, "--models", ",")
     assert rc == 2
     assert err.startswith("error:") and "no complexity model" in err
+
+
+def test_fit_one_distinct_n_exits_2(tmp_path, capsys):
+    path = _fit_file(tmp_path, "n,steps\n8,100\n8,300\n")
+    rc, out, err = run(capsys, "fit", "--input", path)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "two distinct n" in err
+
+
+def test_certify_huge_alphabet_power_exits_2_quickly(capsys):
+    import time
+
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "certify", "--automaton", "grigorchuk", "-L", "1", "-k", "24", "--mode", "item1")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert err.startswith("error:") and "alphabet power exceeded budget" in err
