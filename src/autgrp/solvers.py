@@ -437,13 +437,15 @@ def _auto_plan(A: MealyAutomaton, search_block: int, search_power: int) -> Calla
     (A, tape).  Each solver is looked up when the plan runs, so a wrapper
     set on this module's name later still sees every call."""
     cert = best_certificate(A, search_block, search_power)
-    if cert is not None:
+    # the weak item2 mode caps stages instead of guaranteeing progress, so a
+    # word it maps to other words of the same length never gets a verdict
+    if cert is not None and cert.mode != "item2":
         if A.identity is not None and classify_activity(A).is_bounded:
             return lambda A, tape: solve_bounded(A, cert, tape)
         return lambda A, tape: solve_contracting(A, cert, tape)
     if A.identity is not None:
         cls = classify_activity(A)
-        if cls.kind == "polynomial":
+        if cls.kind != "exponential":  # bounded is degree 0
             flattened, _ = loopify(A)
             return lambda A, tape: solve_polynomial(flattened, cls.degree, tape)
     return lambda A, tape: solve_oracle(A, tape)

@@ -12,6 +12,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .automata import MealyAutomaton, Word, WordLike, _partition, inverse_closure
@@ -270,41 +271,114 @@ def _nontrivial_states(A: MealyAutomaton) -> list[int]:
     return [s for s in range(len(A.states)) if s != A.identity]
 
 
+class _BallLayers:
+    """One automaton's breadth-first ball, grown a layer at a time.
+
+    BFS numbers elements layer by layer, so the ball of radius r is the first
+    ``bounds[r+1]`` elements of any larger ball, with the edge rows of layer
+    r (``bounds[r]`` onwards) cut to None.  ``edges`` holds the rows of every
+    layer but the outermost.  The keys of an element's neighbours are
+    composed from its own key.
+    """
+
+    __slots__ = ("automaton", "gens", "budget", "keys", "reps", "length", "edges", "bounds")
+
+    def __init__(self, A: MealyAutomaton, budget: int):
+        root = canonical_key(A, ())
+        self.automaton = A
+        self.gens = tuple(_nontrivial_states(A))
+        self.budget = budget
+        self.keys = {root: 0}  # in index order
+        self.reps = [()]
+        self.length = [0]
+        self.edges = []
+        self.bounds = [0, 1]
+
+    def cut(self, radius: int) -> CayleyBall:
+        """The ball of a radius the store has reached."""
+        inner, n = self.bounds[radius], self.bounds[radius + 1]
+        # copying keeps each key's stored hash; rebuilding rehashes every key
+        keys = self.keys.copy() if n == len(self.keys) else dict(islice(self.keys.items(), n))
+        return CayleyBall(
+            self.automaton,
+            self.gens,
+            radius,
+            keys,
+            self.reps[:n],
+            self.length[:n],
+            self.edges[:inner] + [None] * (n - inner),
+        )
+
+    def grow(self) -> None:
+        """Add the next layer.  A layer that stops part-way, over the budget
+        or otherwise, is taken back whole, so a retry starts from the same
+        state."""
+        A, gens, budget = self.automaton, self.gens, self.budget
+        keys, reps, length = self.keys, self.reps, self.length
+        lo, hi = self.bounds[-2], self.bounds[-1]
+        dist = len(self.bounds) - 1
+        rows = []
+        try:
+            for i, h in enumerate(list(islice(keys, lo, hi)), lo):
+                rep = reps[i]
+                row = []
+                for g, key in zip(gens, _times_states(A, h, gens)):
+                    j = keys.get(key)
+                    if j is None:
+                        j = len(reps)
+                        if j >= budget:
+                            raise BudgetExceeded(budget, "ball BFS")
+                        keys[key] = j
+                        reps.append(rep + (g,))
+                        length.append(dist)
+                    row.append(j)
+                rows.append(tuple(row))
+        except BaseException:
+            for key in list(islice(keys, hi, None)):
+                del keys[key]
+            del reps[hi:], length[hi:]
+            raise
+        self.edges += rows
+        self.bounds.append(len(reps))
+
+
 @functools.lru_cache(maxsize=16)
-def cayley_ball(A: MealyAutomaton, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> CayleyBall:
-    """Breadth-first ball over the nontrivial states as generators.  The keys
-    of an element's neighbours are composed from its own key."""
+def _ball_layers(A: MealyAutomaton, budget: int) -> _BallLayers:
+    return _BallLayers(A, budget)
+
+
+def _layers_to(A: MealyAutomaton, radius: int, budget: int) -> _BallLayers:
+    """The store of (A, budget), grown to ``radius``."""
     if radius < 0:
         raise AutomatonFormatError(f"radius must be >= 0, got {radius}")
-    gens = _nontrivial_states(A)
-    root = canonical_key(A, ())
-    keys = {root: 0}
-    elements = [root]  # index -> key
-    reps = [()]
-    length = [0]
-    edges = [None]
-    frontier = [0]
-    for dist in range(1, radius + 1):
-        new_frontier = []
-        for i in frontier:
-            rep = reps[i]
-            row = []
-            for g, key in zip(gens, _times_states(A, elements[i], gens)):
-                j = keys.get(key)
-                if j is None:
-                    j = len(reps)
-                    if j >= budget:
-                        raise BudgetExceeded(budget, "ball BFS")
-                    keys[key] = j
-                    elements.append(key)
-                    reps.append(rep + (g,))
-                    length.append(dist)
-                    edges.append(None)
-                    new_frontier.append(j)
-                row.append(j)
-            edges[i] = tuple(row)
-        frontier = new_frontier
-    return CayleyBall(A, tuple(gens), radius, keys, reps, length, edges)
+    layers = _ball_layers(A, budget)
+    while len(layers.bounds) < radius + 2:
+        layers.grow()
+    return layers
+
+
+@functools.lru_cache(maxsize=16)
+def cayley_ball(A: MealyAutomaton, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> CayleyBall:
+    """Breadth-first ball over the nontrivial states as generators.
+
+    Every radius is cut from one store of layers per (automaton, budget),
+    which grows only by the layers it lacks, so asking for radii 1..r costs
+    one BFS to radius r.  The 16 most recent stores are kept, and
+    ``cayley_ball.cache_clear()`` drops them with the balls cut from them.
+    """
+    return _layers_to(A, radius, budget).cut(radius)
+
+
+_clear_cut_balls = cayley_ball.cache_clear
+
+
+def _clear_balls() -> None:
+    """``cayley_ball.cache_clear``: the balls cut so far and the layers behind them."""
+    _clear_cut_balls()
+    _ball_layers.cache_clear()
+
+
+cayley_ball.cache_clear = _clear_balls
 
 
 def word_length(A: MealyAutomaton, w: WordLike, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> int:
@@ -331,16 +405,9 @@ class GrowthTable:
 
 
 def growth(A: MealyAutomaton, n: int, budget: int = DEFAULT_BALL_BUDGET, label: str = "") -> GrowthTable:
-    ball = cayley_ball(A, n, budget)
-    counts = [0] * (n + 1)
-    for d in ball.length:
-        counts[d] += 1
-    gamma = []
-    total = 0
-    for d in range(n + 1):
-        total += counts[d]
-        gamma.append(total)
-    return GrowthTable(label or f"{len(A.states)}-state automaton", n, tuple(gamma))
+    """gamma(d) for d <= n, read off the ball store's layer bounds."""
+    gamma = tuple(_layers_to(A, n, budget).bounds[1 : n + 2])
+    return GrowthTable(label or f"{len(A.states)}-state automaton", n, gamma)
 
 
 def lower_bound_curve(growth_table, n_range: Iterable[int]) -> list[tuple[int, float]]:

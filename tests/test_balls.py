@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from autgrp import catalog
+from autgrp import catalog, words
 from autgrp.automata import inverse_closure
 from autgrp.errors import AutomatonFormatError, BudgetExceeded
-from autgrp.words import _times_states, canonical_key, cayley_ball, growth, word_length
+from autgrp.words import _ball_layers, _times_states, canonical_key, cayley_ball, growth, word_length
 
 
 def _automaton(name, closed):
@@ -103,3 +103,75 @@ def test_negative_radius_is_a_format_error(grig):
         growth(grig, -1)
     with pytest.raises(AutomatonFormatError):
         word_length(grig, "a", -1)
+
+
+# ---- the layer store behind cayley_ball ----
+
+def _fields(ball):
+    return list(ball.keys.items()), ball.reps, ball.length, ball.edges, ball.radius
+
+
+def _reference_fields(A, radius):
+    keys, reps, length, edges = _reference_ball(A, radius)
+    return list(keys.items()), reps, length, edges, radius
+
+
+@pytest.mark.parametrize("order", ("descending", "shuffled"))
+@pytest.mark.parametrize("name", catalog.names())
+def test_radii_in_any_order_match_the_reference(name, order):
+    A = _automaton(name, True)
+    radii = list(range(6))[::-1]
+    if order == "shuffled":
+        random.Random(name).shuffle(radii)
+    cayley_ball.cache_clear()
+    for radius in radii:
+        assert _fields(cayley_ball(A, radius)) == _reference_fields(A, radius), (name, radius)
+
+
+def test_each_element_is_composed_once(grig, monkeypatch):
+    calls = []
+
+    def counting(A, key, gens):
+        calls.append(key)
+        return _times_states(A, key, gens)
+
+    monkeypatch.setattr(words, "_times_states", counting)
+    cayley_ball.cache_clear()
+    for radius in (3, 1, 5, 2, 4, 0, 5):
+        cayley_ball(grig, radius)
+    # every element strictly inside the radius-5 ball, each once
+    assert len(calls) == len(set(calls)) == cayley_ball(grig, 4).size
+
+    # cache_clear drops the grown layers, so the next ball starts over
+    cayley_ball.cache_clear()
+    assert _ball_layers.cache_info().currsize == 0
+    calls.clear()
+    cayley_ball(grig, 2)
+    assert len(calls) == cayley_ball(grig, 1).size
+
+
+def test_budget_failure_leaves_no_partial_layer(grig):
+    cayley_ball.cache_clear()
+    inner, n = cayley_ball(grig, 2).size, cayley_ball(grig, 3).size
+    budget = (inner + n) // 2  # layer 3 stops part-way
+    assert inner < budget < n
+    cayley_ball.cache_clear()
+    with pytest.raises(BudgetExceeded) as exc:
+        cayley_ball(grig, 4, budget)
+    assert (exc.value.budget, exc.value.what) == (budget, "ball BFS")
+    layers = _ball_layers(grig, budget)
+    assert layers.bounds[-1] == len(layers.keys) == len(layers.reps) == len(layers.length) == inner
+    for radius in range(3):
+        assert _fields(cayley_ball(grig, radius, budget)) == _reference_fields(grig, radius)
+    for radius in (3, 4):
+        with pytest.raises(BudgetExceeded):
+            cayley_ball(grig, radius, budget)
+    assert cayley_ball(grig, 3, n).size == n
+
+
+def test_layer_store_is_bounded(grig):
+    cayley_ball.cache_clear()
+    bound = _ball_layers.cache_info().maxsize
+    for budget in range(1000, 1000 + bound + 4):  # one store per (automaton, budget)
+        cayley_ball(grig, 2, budget)
+    assert _ball_layers.cache_info().currsize == bound == 16
