@@ -11,6 +11,12 @@ the non-identity letter count by two per stage.
 The rewrite pass carries the coset representative left to right: writing e
 over the first letter of a pair and c over the second keeps the tape length
 fixed while the written word spells the preimage of the input under phi.
+
+``steps`` counts that one-tape machine: three sweeps of all n cells per
+stage plus one write per rewritten symbol.  The simulation does not pay it:
+it keeps only the non-identity letters in tape order, folds them once per
+stage for both the coset scan and the pair rewrite, and so does O(n) array
+work per word in all, since the live letters halve each stage.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ class _AbelianOps:
         return A // 4
 
     def rep_coords(self, T):
-        return T % 4
+        return T & 3  # T mod 4; numpy's % is several times slower than a mask
 
     def rep_index(self, R):
         idx = R[..., 0]
@@ -111,9 +117,11 @@ class _HeisenbergOps:
 
     def rep_coords(self, T):
         out = np.empty_like(T)
-        out[..., 0] = T[..., 0] % 4
-        out[..., 1] = T[..., 1] % 4
-        out[..., 2] = (T[..., 2] - 4 * (T[..., 0] // 4) * out[..., 1]) % 16
+        # mod 4, floor division by 4 and mod 16 as masks and a shift, which
+        # numpy runs several times faster than % and //
+        out[..., 0] = T[..., 0] & 3
+        out[..., 1] = T[..., 1] & 3
+        out[..., 2] = (T[..., 2] - 4 * (T[..., 0] >> 2) * out[..., 1]) & 15
         return out
 
     def rep_index(self, R):
@@ -130,10 +138,8 @@ class _HeisenbergOps:
     def fold(self, coords):
         """Running products g_1, g_1 g_2, ... as an (n, 3) array."""
         out = np.cumsum(coords, axis=0)
-        x_prefix = np.empty(len(coords), dtype=np.int64)
-        x_prefix[0] = 0
-        np.cumsum(coords[:-1, 0], out=x_prefix[1:])
-        out[:, 2] = np.cumsum(coords[:, 2] + x_prefix * coords[:, 1])
+        x_before = out[:, 0] - coords[:, 0]
+        out[:, 2] = np.cumsum(coords[:, 2] + x_before * coords[:, 1])
         return out
 
     def seed_letters(self) -> list[tuple[int, ...]]:
@@ -205,6 +211,7 @@ class NilpotentInstance:
         "name",
         "ops",
         "letters",
+        "coords",
         "letter_names",
         "e_index",
         "inverse_index",
@@ -221,6 +228,8 @@ class NilpotentInstance:
         self.name = ops.name
         self.ops = ops
         self.letters = tuple(letter_coords)
+        self.coords = np.asarray(self.letters, dtype=np.int64)
+        self.coords.flags.writeable = False
         self._coord_index = {c: i for i, c in enumerate(self.letters)}
         if len(self._coord_index) != len(self.letters):
             raise AutomatonFormatError("duplicate letters")
@@ -233,8 +242,7 @@ class NilpotentInstance:
                 self._byte_index[ord(n)] = i
         zero = tuple(0 for _ in range(ops.dim))
         self.e_index = self._coord_index[zero]
-        arr = np.asarray(self.letters, dtype=np.int64)
-        inv = ops.inv(arr.copy())
+        inv = ops.inv(self.coords.copy())
         inv_idx = []
         for row in inv:
             key = tuple(int(v) for v in row)
@@ -281,6 +289,8 @@ class NilpotentInstance:
         UnknownLetter for a name or index that is not a letter.
         """
         if isinstance(word, np.ndarray) and word.dtype.kind in "iu":
+            if word.ndim != 1:
+                raise AutomatonFormatError(f"integer word must be a 1-D array, not shape {word.shape}")
             out = word.astype(np.int64)
             bad = np.flatnonzero((out < 0) | (out >= self.n_letters))
             if len(bad):
@@ -335,8 +345,7 @@ class NilpotentInstance:
         idxs = self.parse(word)
         if len(idxs) == 0:
             return tuple(0 for _ in range(self.ops.dim))
-        coords = np.asarray(self.letters, dtype=np.int64)[idxs]
-        total = self.ops.fold(coords)[-1]
+        total = self.ops.fold(self.coords[idxs])[-1]
         return tuple(int(v) for v in total)
 
     def is_trivial(self, word) -> bool:
@@ -367,7 +376,7 @@ def _product_cube(inst: NilpotentInstance) -> np.ndarray:
     """x*a*b for every letter pair (a, b) and representative x, as an
     (n_letters, n_letters, n_reps, dim) coordinate array."""
     ops = inst.ops
-    letters = np.asarray(inst.letters, dtype=np.int64)
+    letters = inst.coords
     nN, nX = inst.n_letters, ops.n_reps
     reps = ops.rep_from_index(np.arange(nX, dtype=np.int64))
     A = np.broadcast_to(letters[:, None, None, :], (nN, nN, nX, ops.dim))
@@ -384,7 +393,7 @@ def _fill_tables(inst: NilpotentInstance) -> tuple[list[tuple[int, ...]], np.nda
     verify_table_closure then flags) and the x*a*b cube the tables came from.
     """
     ops = inst.ops
-    letters = np.asarray(inst.letters, dtype=np.int64)
+    letters = inst.coords
     nN = inst.n_letters
     nX = ops.n_reps
     reps = ops.rep_from_index(np.arange(nX, dtype=np.int64))
@@ -473,10 +482,9 @@ def verify_table_closure(inst: NilpotentInstance) -> TableCheck:
 def _check_tables(inst: NilpotentInstance, T: np.ndarray) -> TableCheck:
     """verify_table_closure against a precomputed x*a*b cube."""
     ops = inst.ops
-    letters = np.asarray(inst.letters, dtype=np.int64)
     nN, nX = inst.n_letters, ops.n_reps
 
-    stored_c = letters[inst.c_tab]
+    stored_c = inst.coords[inst.c_tab]
     stored_y = ops.rep_from_index(inst.y_tab.astype(np.int64))
     lhs = ops.mult(ops.phi(stored_c.copy()), stored_y)
     ok = (lhs == T).all(axis=-1)
@@ -513,66 +521,56 @@ def coset_scan(inst: NilpotentInstance, word) -> str:
     return inst.rep_name(x)
 
 
-def _scan_index(inst: NilpotentInstance, idxs: np.ndarray) -> int:
-    if len(idxs) == 0:
-        return inst.rep_e
-    coords = np.asarray(inst.letters, dtype=np.int64)[idxs]
-    total = inst.ops.fold(coords)[-1]
-    rep = inst.ops.rep_coords(total[None, :])
-    return int(inst.ops.rep_index(rep)[0])
+def _coset_index(inst: NilpotentInstance, fold: np.ndarray) -> int:
+    """Index of the coset representative of the product a fold ends on."""
+    ops = inst.ops
+    return int(ops.rep_index(ops.rep_coords(fold[-1:]))[0])
 
 
-def _halve_inplace(inst: NilpotentInstance, w: np.ndarray) -> int:
-    """One rewrite pass over the letter-index array; returns symbols written.
+def _pair_rewrite(inst: NilpotentInstance, live: np.ndarray, fold: np.ndarray) -> np.ndarray:
+    """The c letter of every pair of one rewrite pass, in tape order.
 
-    Callers must have checked that the word lies in the endomorphism image.
-    Pairs of non-identity letters are rewritten through the table with the
-    coset representative threaded through prefix sums; an unpaired trailing
-    letter is paired with a virtual identity letter.
+    ``live`` holds the non-identity letters of a word in the endomorphism
+    image and ``fold`` their running products.  Pair i is (live[2i],
+    live[2i+1]) read under the representative of the product before it; an
+    unpaired trailing letter is paired with a virtual identity letter.
     """
     ops = inst.ops
-    nz = np.flatnonzero(w != inst.e_index)
-    if len(nz) == 0:
-        return 0
-    letters = np.asarray(inst.letters, dtype=np.int64)
-    coords = letters[w[nz]]
-    fold = inst.ops.fold(coords)
-    k = len(nz) // 2
-    odd = len(nz) % 2 == 1
-
-    zero = np.zeros((1, ops.dim), dtype=np.int64)
-    if k:
-        starts = 2 * np.arange(k)
-        prefix = np.concatenate([zero, fold[starts[1:] - 1]]) if k > 1 else zero
-        x_idx = ops.rep_index(ops.rep_coords(prefix)).astype(np.int64)
-        a_idx = w[nz[starts]]
-        b_idx = w[nz[starts + 1]]
-        c_idx = inst.c_tab[a_idx, b_idx, x_idx]
-        w[nz[starts]] = inst.e_index
-        w[nz[starts + 1]] = c_idx
-    if odd:
-        prefix_last = fold[-2][None, :] if len(nz) > 1 else zero
-        x_idx = int(ops.rep_index(ops.rep_coords(prefix_last))[0])
-        a_idx = int(w[nz[-1]])
-        w[nz[-1]] = int(inst.c_tab[a_idx, inst.e_index, x_idx])
-    return 2 * k + (1 if odd else 0)
+    k, odd = divmod(len(live), 2)
+    second = np.append(live[1::2], inst.e_index) if odd else live[1::2]
+    prefix = np.zeros((k + odd, ops.dim), dtype=np.int64)
+    prefix[1:] = fold[1::2][: k + odd - 1]
+    x_idx = ops.rep_index(ops.rep_coords(prefix))
+    return inst.c_tab[live[0::2], second, x_idx]
 
 
 def halve(inst: NilpotentInstance, word) -> tuple[str, ...]:
     """Rewrite a word in the endomorphism image to one spelling its preimage;
     the output has the same length and about half the non-identity letters."""
     idxs = inst.parse(word)
-    if _scan_index(inst, idxs) != inst.rep_e:
-        raise AutomatonFormatError("word is not in the endomorphism image")
-    _halve_inplace(inst, idxs)
+    at = np.flatnonzero(idxs != inst.e_index)
+    if len(at):
+        live = idxs[at]
+        fold = inst.ops.fold(np.take(inst.coords, live, axis=0))
+        if _coset_index(inst, fold) != inst.rep_e:
+            raise AutomatonFormatError("word is not in the endomorphism image")
+        idxs[at] = inst.e_index
+        # each c letter lands on its pair's second letter, or on the lone last one
+        idxs[at[np.minimum(np.arange(1, len(at) + 1, 2), len(at) - 1)]] = _pair_rewrite(inst, live, fold)
     return tuple(inst.letter_names[int(i)] for i in idxs)
 
 
 def solve_nilpotent(inst: NilpotentInstance, word) -> StepReport:
     """Decide triviality by repeated halving, counting tape-machine steps:
-    three scans of the full tape per stage plus one write per rewritten symbol."""
+    three scans of the full tape per stage plus one write per rewritten symbol.
+
+    Only the live (non-identity) letters are simulated: each stage folds them
+    once for the coset scan and the pair rewrite, and the next stage keeps
+    the non-identity c letters.
+    """
     w = inst.parse(word)
     n = len(w)
+    live = w[w != inst.e_index]
     steps = 0
     stages = 0
     nontrivial_per_stage = []
@@ -580,22 +578,24 @@ def solve_nilpotent(inst: NilpotentInstance, word) -> StepReport:
     reject_coset: Optional[str] = None
     guard = 2 * int(np.ceil(np.log2(n + 2))) + 16
     while True:
-        nz = int((w != inst.e_index).sum())
-        nontrivial_per_stage.append(nz)
+        nontrivial_per_stage.append(len(live))
         steps += n
-        if nz == 0:
+        if len(live) == 0:
             verdict = True
             break
         steps += n
-        x = _scan_index(inst, w)
+        # take, not coords[live]: row fancy indexing is several times slower
+        fold = inst.ops.fold(np.take(inst.coords, live, axis=0))
+        x = _coset_index(inst, fold)
         if x != inst.rep_e:
             verdict = False
             reject_coset = inst.rep_name(x)
             break
         if stages > guard:
             raise NonTermination(stages, guard)
-        steps += n
-        steps += _halve_inplace(inst, w)
+        steps += n + len(live)  # the rewrite sweep, and 2k + odd symbols written
+        c = _pair_rewrite(inst, live, fold)
+        live = c[c != inst.e_index]
         stages += 1
     detail = {"group": inst.name, "stage_nontrivial": nontrivial_per_stage}
     if reject_coset is not None:

@@ -18,7 +18,7 @@ from autgrp import (
     solve_nilpotent,
     verify_table_closure,
 )
-from autgrp.errors import UnknownLetter
+from autgrp.errors import AutgrpError, UnknownLetter
 from autgrp.nilpotent import _unique_rows
 
 
@@ -51,7 +51,7 @@ def test_instances_are_shared_per_kind():
 
 def test_shared_tables_are_read_only(z4, z2, heis):
     for inst in (z4, z2, heis):
-        for table in (inst.act, inst.c_tab, inst.y_tab, inst.inverse_index):
+        for table in (inst.coords, inst.act, inst.c_tab, inst.y_tab, inst.inverse_index):
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 0
 
@@ -84,6 +84,7 @@ def test_tables_frozen(z4, z2, heis):
         arrays = (np.asarray(inst.letters, dtype=np.int64), inst.act, inst.c_tab, inst.y_tab)
         got = tuple(hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays)
         assert got == TABLE_SHA1[inst.name]
+        assert inst.coords.dtype == np.int64 and (inst.coords == arrays[0]).all()
 
 
 def test_unique_rows_matches_numpy():
@@ -131,6 +132,13 @@ def test_integer_words_are_range_checked(z4):
             with pytest.raises(UnknownLetter):
                 solve_nilpotent(z4, word)
     assert (z4.parse(np.array([z4.n_letters - 1], dtype=np.uint8)) == [z4.n_letters - 1]).all()
+
+
+def test_integer_words_must_be_one_dimensional(z4):
+    for bad in (np.array([[1, 2], [3, 4]]), np.array(3), np.zeros((0, 2), dtype=np.int32)):
+        for call in (z4.parse, lambda w: solve_nilpotent(z4, w), lambda w: halve(z4, w)):
+            with pytest.raises(AutgrpError, match="1-D"):
+                call(bad)
 
 
 # -------------------------------------------------------------------- tables
