@@ -54,7 +54,6 @@ _EXPORTS = {
         "check_item",
         "check_item_sampled",
         "classify_activity",
-        "find_certificate",
         "load_certificate",
         "loopify",
         "serialize_certificate",

@@ -23,6 +23,7 @@ from .contraction import (
     check_item,
     check_item_sampled,
     classify_activity,
+    loopify,
 )
 from .errors import AutgrpError, AutomatonFormatError, CertificateNotFound
 from .solvers import (
@@ -217,7 +218,8 @@ def _cmd_solve(args) -> int:
             if degree is None:
                 cls = classify_activity(A)
                 degree = cls.degree if cls.degree is not None else 0
-            rep = solve_polynomial(A, degree, word)
+            # the reset rule needs every nontrivial cycle to be a self-loop
+            rep = solve_polynomial(loopify(A)[0], degree, word)
         else:
             rep = solve_auto(A, word)
     _emit(

@@ -192,13 +192,12 @@ def _all_blocks(ctx: _ScanContext):
         refill_from = d
 
 
-def _scan(ctx: _ScanContext, modes, blocks, leaves: Optional[list] = None) -> dict:
+def _scan(ctx: _ScanContext, modes, blocks) -> dict:
     """Judge every mode in ``modes`` on each block's section lengths.
 
     A mode that fails records its ``ItemCheck`` as of the failing block and
     drops out; the scan stops once every mode has failed.  Modes alive at the
-    end pass with the maxima over all blocks.  ``leaves``, when given,
-    receives each block's branch codes in order.
+    end pass with the maxima over all blocks.
     """
     B = ctx.automaton
     block = ctx.block
@@ -225,16 +224,14 @@ def _scan(ctx: _ScanContext, modes, blocks, leaves: Optional[list] = None) -> di
                     live.remove(mode)
             if not live:
                 return results
-        if leaves is not None:
-            leaves.extend(leaf)
     for mode in live:
         results[mode] = ItemCheck(True, mode, block, ctx.power, words, max_sec, max_sum)
     return results
 
 
-def _scan_exhaustive(ctx: _ScanContext, modes, leaves: Optional[list] = None) -> dict:
+def _scan_exhaustive(ctx: _ScanContext, modes) -> dict:
     """One walk over the whole cell for all ``modes`` (see ``_scan``)."""
-    return _scan(ctx, modes, _all_blocks(ctx), leaves)
+    return _scan(ctx, modes, _all_blocks(ctx))
 
 
 def check_item_sampled(
@@ -261,19 +258,18 @@ def check_item_sampled(
 # ---- certificates ----
 
 class ContractionCertificate:
-    """Verified block-rewrite tables for one contraction mode.
+    """Verified block-rewrite table for one contraction mode.
 
-    ``entries`` maps (identity-free block, branch code) to the shortest
-    representative of the block's section and the branch code it hands to the
-    next block.  Tables above the eager budget stay lazy: entries are then
-    computed through the Cayley ball on demand and memoized, and such
-    certificates cannot be serialized.  Blocks containing identity letters
-    are never part of the enumerated table but are answered the same way,
-    from a memo kept apart from the table, so solving never changes what
-    ``serialize_certificate`` writes.
+    The table maps (block, branch code) to the shortest representative of the
+    block's section and the branch code it hands to the next block.  A block's
+    row, every branch at once, is walked through the Cayley ball on first use
+    and memoized; ``load_certificate`` seeds the rows with the file's, so a
+    table loaded unchecked rewrites as it reads.  Blocks holding identity
+    letters are answered the same way, but ``serialize_certificate`` writes
+    only the identity-free blocks, so solving never changes what it writes.
     """
 
-    def __init__(self, source, ctx: _ScanContext, mode: str, shrink_num: int, entries, eager: bool):
+    def __init__(self, source, ctx: _ScanContext, mode: str, shrink_num: int, rows: Optional[dict] = None):
         self.source = source
         self.closure = ctx.closure
         self.automaton = ctx.automaton
@@ -281,11 +277,9 @@ class ContractionCertificate:
         self.block = ctx.block
         self.power = ctx.power
         self.shrink_ratio = Fraction(shrink_num, ctx.block)
-        self.eager = eager
         self.outputs = ctx.outk  # branch handed on, per state and branch
         self._ctx = ctx
-        self._entries = entries if entries is not None else {}
-        self._memo = {}
+        self._memo = rows if rows is not None else {}
         self.table_reads = 0
         self.dense_table = None  # array form, built by the first vectorized solve
 
@@ -298,23 +292,32 @@ class ContractionCertificate:
         return self._ctx.branches
 
     @property
+    def eager(self) -> bool:
+        """Whether the identity-free table fits ``DEFAULT_TABLE_BUDGET``,
+        which a serialized certificate must."""
+        return len(self._ctx.enum) ** self.block * self.branches <= DEFAULT_TABLE_BUDGET
+
+    @property
     def stage_ratio(self) -> Fraction:
         """Per-stage length bound: halfway between the table ratio and 1."""
         lam = self.shrink_ratio
         return lam + Fraction(1 - lam, 2)
 
-    def entry(self, word: Word, xcode: int) -> tuple[Word, int]:
-        """Rewrite one block: (shortest section word, next branch code)."""
-        self.table_reads += 1
-        hit = self._entries.get((word, xcode)) if self.eager else None
-        if hit is not None:
-            return hit
-        # one walk gives every branch, so the memo keeps a word's whole row
+    def _row(self, word: Word) -> tuple:
+        """Every branch's (section, next branch code) for one block."""
         row = self._memo.get(word)
         if row is None:
             ctx = self._ctx
             row = tuple((ctx.rep_of_code(c), ctx.branch_of_code(c)) for c in ctx.walk_word(word))
             self._memo[word] = row
+        return row
+
+    def entry(self, word: Word, xcode: int) -> tuple[Word, int]:
+        """Rewrite one block: (shortest section word, next branch code)."""
+        self.table_reads += 1
+        row = self._memo.get(word)  # no call on a hit: this is the solvers' inner loop
+        if row is None:
+            row = self._row(word)
         return row[xcode]
 
     def tail_section(self, word, xcode: int) -> tuple[list[int], int]:
@@ -338,22 +341,10 @@ class ContractionCertificate:
         )
 
 
-def _eager_leaves(ctx: _ScanContext, table_budget: int) -> Optional[list]:
-    """An empty leaf list when the cell's table fits the eager budget."""
-    return [] if len(ctx.enum) ** ctx.block * ctx.branches <= table_budget else None
-
-
-def _package(A: MealyAutomaton, ctx: _ScanContext, res: ItemCheck, leaves) -> ContractionCertificate:
-    """The certificate of a passing scan; ``leaves`` (or None, for a lazy
-    table) holds every block's branch codes in enumeration order."""
-    entries = None
-    if leaves is not None:
-        nb = ctx.ball.size
-        reps = ctx.ball.reps
-        keys = itertools.product(itertools.product(ctx.enum, repeat=ctx.block), range(ctx.branches))
-        entries = {key: (reps[c % nb], c // nb) for key, c in zip(keys, leaves)}
+def _package(A: MealyAutomaton, ctx: _ScanContext, res: ItemCheck) -> ContractionCertificate:
+    """The certificate of a passing scan."""
     shrink = res.max_section if res.mode == "item1" else res.max_section_sum
-    return ContractionCertificate(A, ctx, res.mode, shrink, entries, leaves is not None)
+    return ContractionCertificate(A, ctx, res.mode, shrink)
 
 
 def build_certificate(
@@ -362,16 +353,14 @@ def build_certificate(
     power: int,
     mode: str,
     ball_budget: int = DEFAULT_BALL_BUDGET,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> ContractionCertificate:
     """Scan one cell and package the result; raises if the scan fails."""
     _validate_cell(block, power, mode)
     ctx = _ScanContext(A, block, power, ball_budget)
-    leaves = _eager_leaves(ctx, table_budget)
-    res = _scan_exhaustive(ctx, (mode,), leaves)[mode]
+    res = _scan_exhaustive(ctx, (mode,))[mode]
     if not res.passed:
         raise CertificateNotFound(block, power)
-    return _package(A, ctx, res, leaves)
+    return _package(A, ctx, res)
 
 
 # The strict total shrink carries the strongest runtime guarantee; the weak
@@ -379,7 +368,7 @@ def build_certificate(
 _PREFERENCE = ("item3", "item1", "item2")
 
 
-def _first_cells(A: MealyAutomaton, max_block: int, max_power: int, ball_budget: int, table_budget: int) -> dict:
+def _first_cells(A: MealyAutomaton, max_block: int, max_power: int, ball_budget: int) -> dict:
     """Each mode's first passing cell in (power, block) order, as the tail
     of ``_package``'s arguments.  Every cell is scanned once, for the live
     modes: those preferred over every mode already placed."""
@@ -389,37 +378,13 @@ def _first_cells(A: MealyAutomaton, max_block: int, max_power: int, ball_budget:
     for power in range(1, max_power + 1):
         for block in range(1, max_block + 1):
             ctx = _ScanContext(A, block, power, ball_budget)
-            leaves = _eager_leaves(ctx, table_budget)
-            for mode, res in _scan_exhaustive(ctx, live, leaves).items():
+            for mode, res in _scan_exhaustive(ctx, live).items():
                 if res.passed:
-                    placed[mode] = (ctx, res, leaves)
+                    placed[mode] = (ctx, res)
             live = _PREFERENCE[: min(map(_PREFERENCE.index, placed), default=len(_PREFERENCE))]
             if not live:
                 return placed
     return placed
-
-
-def find_certificate(
-    A: MealyAutomaton,
-    max_block: int,
-    max_power: int,
-    ball_budget: int = DEFAULT_BALL_BUDGET,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
-) -> ContractionCertificate:
-    """Search all cells in (power, block) lexicographic order.
-
-    The strict total-shrink mode wins at its first cell anywhere in the box,
-    since it carries the strongest runtime guarantee.  If it passes nowhere,
-    the first cell certifying anything wins, with the per-section bound
-    preferred over the weak total bound at the same cell.  Each cell is
-    scanned once, for all modes still in question.
-    """
-    cells = _first_cells(A, max_block, max_power, ball_budget, table_budget)
-    if not cells:
-        raise CertificateNotFound(max_block, max_power)
-    # item3 first, then the earliest cell, then item1 before item2
-    first = min((res for _, res, _ in cells.values()), key=lambda r: (r.mode != "item3", r.power, r.block, r.mode))
-    return _package(A, *cells[first.mode])
 
 
 def best_certificate(
@@ -435,7 +400,7 @@ def best_certificate(
     else the weak mode at its first cell.  Each cell is scanned once, for all
     modes still in question.  Returns None when nothing in the box certifies.
     """
-    cells = _first_cells(A, search_block, search_power, DEFAULT_BALL_BUDGET, DEFAULT_TABLE_BUDGET)
+    cells = _first_cells(A, search_block, search_power, DEFAULT_BALL_BUDGET)
     if not cells:
         return None
     return _package(A, *cells[min(cells, key=_PREFERENCE.index)])
@@ -447,15 +412,16 @@ def serialize_certificate(cert: ContractionCertificate) -> str:
     """Text form: header ``mode block power num/den``, then one ``sect:`` line
     per table entry.  Words are '.'-joined state names, '-' when empty."""
     if not cert.eager:
-        raise AutomatonFormatError("table is lazy (above the eager budget); cannot serialize")
+        raise AutomatonFormatError("table is above the eager budget; cannot serialize")
     B = cert.automaton
     lam = cert.shrink_ratio
     lines = [f"{cert.mode} {cert.block} {cert.power} {lam.numerator}/{lam.denominator}"]
-    for (word, xcode) in sorted(cert._entries):
-        out_word, _ = cert._entries[(word, xcode)]
+    branches = [_branch_str(B, cert.power, x) for x in range(cert.branches)]
+    for word in itertools.product(cert._ctx.enum, repeat=cert.block):
         w = ".".join(B.states[s] for s in word)
-        wx = ".".join(B.states[s] for s in out_word) or "-"
-        lines.append(f"sect: {w} {_branch_str(B, cert.power, xcode)} -> {wx}")
+        for xtext, (out_word, _) in zip(branches, cert._row(word)):
+            wx = ".".join(B.states[s] for s in out_word) or "-"
+            lines.append(f"sect: {w} {xtext} -> {wx}")
     return "\n".join(lines) + "\n"
 
 
@@ -488,10 +454,11 @@ def load_certificate(text: str, A: MealyAutomaton, validate: bool = True,
     ctx = _ScanContext(A, block, power, ball_budget)
     B = ctx.automaton
     six = {s: i for i, s in enumerate(B.states)}
-    entries = {}
+    rows = {}  # block word -> (section, next branch code) per branch, None until read
+    filled = 0
     # each block text recurs once per branch, each branch text once per
     # block: parse (and walk) every distinct token text once
-    blocks = {}  # block text -> (word, one walk code per branch)
+    blocks = {}  # block text -> (one walk code per branch, its row)
     branch_codes = {}  # branch text -> branch code
     sections = {"-": ()}  # section text -> word
     nb, reps = ctx.ball.size, ctx.ball.reps
@@ -512,8 +479,9 @@ def load_certificate(text: str, A: MealyAutomaton, validate: bool = True,
                 raise AutomatonFormatError(f"block {wtext!r} is not {block} letters")
             if B.identity in word:
                 raise AutomatonFormatError(f"block {wtext!r} holds the identity letter")
-            parsed = blocks[wtext] = (word, ctx.walk_word(word))
-        word, codes = parsed
+            row = rows[word] = [None] * ctx.branches
+            parsed = blocks[wtext] = (ctx.walk_word(word), row)
+        codes, row = parsed
         xcode = branch_codes.get(xtext)
         if xcode is None:
             xcode = branch_codes[xtext] = _parse_branch(B, power, xtext)
@@ -528,11 +496,12 @@ def load_certificate(text: str, A: MealyAutomaton, validate: bool = True,
             raise AutomatonFormatError(
                 f"entry for ({wtext}, {xtext}) does not match the recomputed section"
             )
-        entries[(word, xcode)] = (out_word, code // nb)
+        filled += row[xcode] is None
+        row[xcode] = (out_word, code // nb)
 
     expected = len(ctx.enum) ** block * ctx.branches
-    if len(entries) != expected:
-        raise AutomatonFormatError(f"certificate has {len(entries)} entries; expected {expected}")
+    if filled != expected:
+        raise AutomatonFormatError(f"certificate has {filled} entries; expected {expected}")
     if validate:
         # every entry equals its recomputed section, so the cell scan judges
         # the table itself: the header must state its mode and its ratio
@@ -544,7 +513,8 @@ def load_certificate(text: str, A: MealyAutomaton, validate: bool = True,
             raise AutomatonFormatError(
                 f"header ratio {lam} does not match the table's ratio {Fraction(shrink, block)}"
             )
-    return ContractionCertificate(A, ctx, mode, int(lam * block), entries, eager=True)
+    rows = {word: tuple(row) for word, row in rows.items()}
+    return ContractionCertificate(A, ctx, mode, int(lam * block), rows)
 
 
 def _parse_header(line: str) -> tuple[str, int, int, Fraction]:

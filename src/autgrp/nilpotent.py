@@ -345,7 +345,7 @@ class NilpotentInstance:
         idxs = self.parse(word)
         if len(idxs) == 0:
             return tuple(0 for _ in range(self.ops.dim))
-        total = self.ops.fold(self.coords[idxs])[-1]
+        total = self.ops.fold(np.take(self.coords, idxs, axis=0))[-1]
         return tuple(int(v) for v in total)
 
     def is_trivial(self, word) -> bool:
@@ -484,7 +484,7 @@ def _check_tables(inst: NilpotentInstance, T: np.ndarray) -> TableCheck:
     ops = inst.ops
     nN, nX = inst.n_letters, ops.n_reps
 
-    stored_c = inst.coords[inst.c_tab]
+    stored_c = np.take(inst.coords, inst.c_tab, axis=0)
     stored_y = ops.rep_from_index(inst.y_tab.astype(np.int64))
     lhs = ops.mult(ops.phi(stored_c.copy()), stored_y)
     ok = (lhs == T).all(axis=-1)

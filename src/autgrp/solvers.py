@@ -16,7 +16,7 @@ list per segment; the array tape of ``vectorized`` runs each phase as numpy
 passes over the whole tape.  The array engine takes certificates whose
 table is dense over every block (and the reset-rule solver's literal
 sections) on tapes of at least ``_VECTOR_MIN_LETTERS`` letters; everything
-else, lazy certificates included, stays on the Python tape.
+else, certificates above the table budget included, stays on the Python tape.
 """
 
 from __future__ import annotations
@@ -462,7 +462,7 @@ def solve_auto(
 
     The dispatch is worked out once per automaton and box and kept on the
     automaton's ``InverseClosure``, so later words reuse the certificate
-    (its dense table and lazy memo included); ``inverse_closure.cache_clear()``
+    (its dense table and memoized rows included); ``inverse_closure.cache_clear()``
     drops it.  A search that raises keeps nothing."""
     plans = inverse_closure(A).plans
     box = (search_block, search_power)

@@ -289,14 +289,12 @@ class DenseTable:
 
 
 def _cert_table(cert: ContractionCertificate) -> Optional[DenseTable]:
-    """Dense table of an eager certificate whose every block code over all
-    |S| states fits the table budget.  Identity-free rows come from the
-    certificate's own entries, so a table loaded without validation rewrites
-    as it reads; rows with identity letters come from the ball walk, as
-    ``ContractionCertificate.entry`` computes them.  Next branches always
+    """Dense table of a certificate whose every block code over all |S|
+    states fits the table budget.  Rows the certificate has memoized, loaded
+    ones included, override the ball walk, so a table loaded without
+    validation rewrites as it reads; every other row is the walk, as
+    ``ContractionCertificate.entry`` computes it.  Next branches always
     follow the walk, which is how every entry's next branch was made."""
-    if not cert.eager:
-        return None
     ctx = cert._ctx
     n_states = len(cert.automaton.states)
     L, R = cert.block, cert.branches
@@ -319,12 +317,13 @@ def _cert_table(cert: ContractionCertificate) -> Optional[DenseTable]:
     ball_reps = ctx.ball.reps
     index = {ball_reps[e]: i for i, e in enumerate(used.tolist())}
     elem_rows = elem.tolist()
-    for (word, x), (rep, _) in cert._entries.items():
+    for word, cert_row in cert._memo.items():
         code = 0
         for s in word:
             code = code * n_states + s
-        if rep != ball_reps[elem_rows[code][x]]:
-            row[code, x] = index.setdefault(rep, len(index))
+        for x, (rep, _) in enumerate(cert_row):
+            if rep != ball_reps[elem_rows[code][x]]:
+                row[code, x] = index.setdefault(rep, len(index))
     return DenseTable(cert, row, cur // nb, list(index), ctx.seck, ctx.outk)
 
 
@@ -338,8 +337,8 @@ def _literal_table(rw) -> DenseTable:
 
 def dense_table(rw) -> Optional[DenseTable]:
     """The rewriter's dense table, built on first use and kept on the
-    rewriter; None when the table is lazy, too large, or its branch group
-    too big."""
+    rewriter; None when the table is too large or its branch group too
+    big."""
     if rw.dense_table is None:
         table = _cert_table(rw) if isinstance(rw, ContractionCertificate) else _literal_table(rw)
         usable = table is not None and table.group_order <= _MAX_BRANCH_GROUP

@@ -23,18 +23,25 @@ from autgrp.solvers import (
 
 # two states, no identity state: no certificate and no classification
 LAMPLIGHTER = MealyAutomaton(("0", "1"), ("a", "b"), [[1, 0], [1, 0]], [[1, 0], [0, 1]])
+# the bounded 3-cycle s1 = (s2, e), s2 = (s3, e), s3 = sigma(s1, e): its best
+# certificate in the (4, 2) box is item2, which the dispatch skips
+THREE_CYCLE = MealyAutomaton(
+    "01", ["e", "s1", "s2", "s3"], [[0, 0], [2, 0], [3, 0], [1, 0]], [[0, 1], [0, 1], [0, 1], [1, 0]], identity="e"
+)
 
 
 def _reference(A, tape, search_block=4, search_power=2):
-    """The dispatch searched afresh: best_certificate, then the solver."""
+    """The dispatch searched afresh: best_certificate unless it is item2,
+    else the reset-rule solver on the flattened automaton for bounded and
+    polynomial activity, else the oracle."""
     cert = best_certificate(A, search_block, search_power)
-    if cert is not None:
+    if cert is not None and cert.mode != "item2":
         if A.identity is not None and classify_activity(A).is_bounded:
             return solve_bounded(A, cert, tape)
         return solve_contracting(A, cert, tape)
     if A.identity is not None:
         cls = classify_activity(A)
-        if cls.kind == "polynomial":
+        if cls.kind != "exponential":
             flattened, _ = loopify(A)
             return solve_polynomial(flattened, cls.degree, tape)
     return solve_oracle(A, tape)
@@ -98,11 +105,14 @@ def test_cache_clear_drops_the_plan(first_cells_calls, grig):
     assert first_cells_calls == [(4, 2), (4, 2)]
 
 
-@pytest.mark.parametrize("name", catalog.names())
+@pytest.mark.parametrize("name", catalog.names() + ("three-cycle",))
 def test_plan_reports_equal_the_fresh_dispatch(name):
-    A = catalog.get(name)
+    A = THREE_CYCLE if name == "three-cycle" else catalog.get(name)
     words = _words(A, 7, long_word=True)
     expected = [_fields(_reference(A, w)) for w in words]
+    if name == "three-cycle":
+        assert best_certificate(A, 4, 2).mode == "item2"
+        assert {e[0] for e in expected} == {"polynomial"}
     inverse_closure.cache_clear()
     first = [_fields(solve_auto(A, w)) for w in words]
     again = [_fields(solve_auto(A, w)) for w in reversed(words)][::-1]

@@ -20,7 +20,6 @@ from autgrp.contraction import (
     best_certificate,
     build_certificate,
     check_item,
-    find_certificate,
 )
 from autgrp.errors import CertificateNotFound
 from autgrp.words import DEFAULT_BALL_BUDGET
@@ -84,17 +83,10 @@ def _first(name, mode, box):
     return next((cell for cell in _box(*box) if reference(name, *cell, mode).passed), None)
 
 
-def _expected(name, box, rule):
-    """(mode, block, power) the rule prescribes on the reference grid."""
+def _expected(name, box):
+    """(mode, block, power) the preference rule prescribes on the reference grid."""
     firsts = {mode: _first(name, mode, box) for mode in MODES}
-    if firsts["item3"] is not None:
-        mode = "item3"
-    elif rule == "best":
-        mode = next((m for m in ("item1", "item2") if firsts[m] is not None), None)
-    else:
-        placed = [m for m in ("item1", "item2") if firsts[m] is not None]
-        order = _box(*box)
-        mode = min(placed, key=lambda m: order.index(firsts[m]), default=None)
+    mode = next((m for m in ("item3", "item1", "item2") if firsts[m] is not None), None)
     return None if mode is None else (mode, *firsts[mode])
 
 
@@ -104,12 +96,9 @@ def _assert_matches_reference(name, cert):
     assert cert.shrink_ratio == Fraction(shrink, cert.block)
     if cert.eager:
         ctx = cert._ctx
-        table = {
-            (word, x): (ctx.rep_of_code(c), ctx.branch_of_code(c))
-            for word in itertools.product(ctx.enum, repeat=cert.block)
-            for x, c in enumerate(ctx.walk_word(word))
-        }
-        assert cert._entries == table
+        for word in itertools.product(ctx.enum, repeat=cert.block):
+            row = tuple((ctx.rep_of_code(c), ctx.branch_of_code(c)) for c in ctx.walk_word(word))
+            assert cert._row(word) == row, word
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -123,20 +112,11 @@ def test_check_item_equals_reference(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_searches_follow_the_preference_rules(name, box):
     A = automaton(name)
-    want = _expected(name, box, "best")
+    want = _expected(name, box)
     cert = best_certificate(A, *box)
     if want is None:
         assert cert is None
     else:
-        assert (cert.mode, cert.block, cert.power) == want
-        _assert_matches_reference(name, cert)
-
-    want = _expected(name, box, "find")
-    if want is None:
-        with pytest.raises(CertificateNotFound):
-            find_certificate(A, *box)
-    else:
-        cert = find_certificate(A, *box)
         assert (cert.mode, cert.block, cert.power) == want
         _assert_matches_reference(name, cert)
 
@@ -146,9 +126,9 @@ def test_each_cell_is_scanned_once_for_the_live_modes(name, monkeypatch):
     scans = []
     scan = contraction._scan_exhaustive
 
-    def spy(ctx, modes, leaves=None):
+    def spy(ctx, modes):
         scans.append((ctx.block, ctx.power, tuple(modes)))
-        return scan(ctx, modes, leaves)
+        return scan(ctx, modes)
 
     monkeypatch.setattr(contraction, "_scan_exhaustive", spy)
     box = (4, 2)
@@ -189,12 +169,3 @@ def test_one_context_per_cell(name, monkeypatch):
         pass
     assert len(built) == 1
 
-
-def test_lazy_table_certifies_the_same_cell():
-    A = catalog.get("basilica")
-    eager = find_certificate(A, 4, 2)
-    lazy = find_certificate(A, 4, 2, table_budget=0)
-    assert not lazy.eager and lazy._entries == {}
-    assert (lazy.mode, lazy.block, lazy.power, lazy.shrink_ratio) == (
-        eager.mode, eager.block, eager.power, eager.shrink_ratio
-    )

@@ -151,6 +151,35 @@ def test_solve_uncertifiable(capsys):
     assert "certificate" in err
 
 
+def test_solve_polynomial_flattens_the_automaton(capsys):
+    # basilica's and grigorchuk's cycles are longer than one letter, so the
+    # reset rule must run on the loopified automaton to reach the oracle's
+    # verdicts; flip has no flattening power at all
+    import random
+
+    from autgrp import catalog, inverse_closure
+
+    rng = random.Random(13)
+    for name in ("basilica", "grigorchuk", "poly1", "adding"):
+        ic = inverse_closure(catalog.get(name))
+        letters = [s for s in range(len(ic.automaton.states)) if s != ic.automaton.identity]
+        words = []
+        for n in (1, 2, 3, 4, 6, 9):
+            u = [rng.choice(letters) for _ in range(n)]
+            words += [u + list(ic.inverse_word(u)), u]
+        for w in words:
+            text = "".join(ic.automaton.states[s] for s in w)
+            want, _, _ = run(capsys, "solve", "--automaton", name, "--method", "oracle", "--word", text)
+            rc, out, err = run(capsys, "solve", "--automaton", name, "--method", "polynomial", "--word", text)
+            assert (rc, err) == (want, ""), (name, text)
+            assert out.startswith("accept method=polynomial" if rc == 0 else "reject method=polynomial")
+    rc, out, _ = run(capsys, "solve", "--automaton", "basilica", "--method", "polynomial", "--word", "aA")
+    assert rc == 0 and out.startswith("accept")
+    rc, _, err = run(capsys, "solve", "--automaton", "flip", "--method", "polynomial", "--word", "ss")
+    assert rc == 2
+    assert "no flattening power" in err
+
+
 # ------------------------------------------------------------------ certify
 
 def test_certify_pass(capsys):

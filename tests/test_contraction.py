@@ -1,5 +1,6 @@
 """Block-shrink checks, certificates, and activity classification."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from autgrp import (
     check_item,
     check_item_sampled,
     classify_activity,
-    find_certificate,
     load_certificate,
     loopify,
     mx_step,
@@ -19,7 +19,6 @@ from autgrp import (
 )
 from autgrp.errors import (
     AutomatonFormatError,
-    CertificateNotFound,
     NotPolynomial,
 )
 
@@ -84,11 +83,6 @@ def test_find_certificate_grig(grig_cert):
     assert grig_cert.stage_ratio == Fraction(3, 4)
 
 
-def test_find_certificate_scans_cheapest_cell_first(basilica):
-    c = find_certificate(basilica, 4, 2)
-    assert (c.mode, c.block, c.power) == ("item2", 1, 1)
-
-
 def test_best_certificate_avoids_weak_mode(grig, basilica, poly1):
     c = best_certificate(basilica, 4, 2)
     assert (c.mode, c.block, c.power) == ("item1", 3, 2)
@@ -97,13 +91,6 @@ def test_best_certificate_avoids_weak_mode(grig, basilica, poly1):
     g = best_certificate(grig, 4, 2)
     assert (g.mode, g.block, g.power) == ("item1", 2, 1)
     assert best_certificate(poly1, 4, 2) is None
-
-
-def test_find_certificate_poly1_fails(poly1):
-    with pytest.raises(CertificateNotFound) as exc:
-        find_certificate(poly1, 4, 2)
-    assert exc.value.max_block == 4
-    assert exc.value.max_power == 2
 
 
 def test_mx_step_rewrites_blocks(grig_cert, basilica_cert, basilica_weak_cert):
@@ -186,6 +173,56 @@ def test_round_trip_after_solving(grig):
     assert text == before
     assert len(text.splitlines()) == 1 + 32
     assert serialize_certificate(load_certificate(text, grig)) == text
+
+
+# sha1 of serialize_certificate's text for fixed catalog cells, computed
+# when the table was still built eagerly as one sorted entry dict: the rows
+# are written block by block in enumeration order, byte for byte as before
+SERIALIZED_SHA1 = {
+    ("grigorchuk", 2, 1, "item1"): "9a2a200903375bcdeb9c112c3a2a8635353cace8",
+    ("grigorchuk", 3, 2, "item1"): "f4238e4afd35465f11f73a13c3795ccf160d93b3",
+    ("basilica", 1, 1, "item2"): "0482c64f20d2140180f997387af02269970f041c",
+    ("basilica", 3, 2, "item1"): "af6ba38b6e2e9fa4e6a8fc478f3b6ed9962420f5",
+    ("basilica", 6, 2, "item1"): "e4ea4ec2f741de107c4efa81419cb7197fe9f32a",
+    ("adding", 2, 1, "item1"): "a8f920398fc76fed040944752b9604e838526d8c",
+    ("flip", 2, 1, "item3"): "1144701ca5fec710c745157696916e6c82b028d2",
+    ("trivial", 1, 1, "item3"): "26a9af99a21e80a689e7f52497e7f4c995f9b4ac",
+}
+
+
+def _sha1(text):
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cell", SERIALIZED_SHA1, ids=lambda cell: "-".join(map(str, cell)))
+def test_serialized_tables_are_pinned(cell):
+    from autgrp import catalog
+
+    name, block, power, mode = cell
+    A = catalog.get(name)
+    text = serialize_certificate(build_certificate(A, block, power, mode))
+    assert _sha1(text) == SERIALIZED_SHA1[cell]
+    assert serialize_certificate(load_certificate(text, A)) == text
+
+
+def test_unvalidated_table_serializes_as_it_reads(grig):
+    # grigorchuk's (2, 1) table with one section edited and its lines
+    # reversed, loaded unchecked: it is written back from the file's rows,
+    # in enumeration order
+    lines = serialize_certificate(build_certificate(grig, 2, 1, "item1")).splitlines()
+    edited = [ln.replace("-> c", "-> d.b") if ln.startswith("sect: a.b 0 ") else ln for ln in lines]
+    loose = load_certificate("\n".join(edited[:1] + edited[:0:-1]), grig, validate=False)
+    text = serialize_certificate(loose)
+    assert text.splitlines() == edited
+    assert _sha1(text) == "e8c130c70af3eb141d7405e5c73ecbbee6dad971"
+
+
+def test_table_above_the_budget_is_not_serialized(grig):
+    # 4^8 blocks of 4 branches is above DEFAULT_TABLE_BUDGET
+    cert = build_certificate(grig, 8, 2, "item1")
+    assert not cert.eager
+    with pytest.raises(AutomatonFormatError, match="eager budget"):
+        serialize_certificate(cert)
 
 
 def _with_header(cert, header):
