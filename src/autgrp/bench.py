@@ -11,6 +11,7 @@ the largest input wins.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -62,22 +63,15 @@ class BenchFamily:
 
 
 def _basilica_runner(m: int, seed: int) -> StepReport:
-    A = catalog.get("basilica")
-    cert = _basilica_cert()
-    return solve_bounded(A, cert, "ab" * 2**m)
+    return solve_bounded(catalog.get("basilica"), _basilica_cert(), "ab" * 2**m)
 
 
-_BASILICA_CERT = None
-
-
+@functools.cache
 def _basilica_cert():
     # weak total-shrink cell (block 1, power 1): the family words always
     # reject before the no-progress hazard of that mode can bite, and the
     # small cell keeps per-stage work proportional to the tape
-    global _BASILICA_CERT
-    if _BASILICA_CERT is None:
-        _BASILICA_CERT = build_certificate(catalog.get("basilica"), 1, 1, "item2")
-    return _BASILICA_CERT
+    return build_certificate(catalog.get("basilica"), 1, 1, "item2")
 
 
 def _poly1_runner(m: int, seed: int) -> StepReport:

@@ -23,7 +23,6 @@ from .contraction import (
     check_item,
     check_item_sampled,
     classify_activity,
-    loopify,
 )
 from .errors import AutgrpError, AutomatonFormatError, CertificateNotFound
 from .solvers import (
@@ -218,8 +217,7 @@ def _cmd_solve(args) -> int:
             if degree is None:
                 cls = classify_activity(A)
                 degree = cls.degree if cls.degree is not None else 0
-            # the reset rule needs every nontrivial cycle to be a self-loop
-            rep = solve_polynomial(loopify(A)[0], degree, word)
+            rep = solve_polynomial(A, degree, word)
         else:
             rep = solve_auto(A, word)
     _emit(

@@ -17,7 +17,6 @@ witness.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +53,7 @@ class _ScanContext:
     element accumulated by the section letters seen so far.
     """
 
-    def __init__(self, A: MealyAutomaton, block: int, power: int, ball_budget: int):
+    def __init__(self, A: MealyAutomaton, block: int, power: int):
         ic = inverse_closure(A)
         B = ic.automaton
         self.closure = ic
@@ -62,7 +61,7 @@ class _ScanContext:
         self.block = block
         self.power = power
         self.enum = [s for s in range(len(B.states)) if s != B.identity]
-        self.ball = cayley_ball(B, block, ball_budget)
+        self.ball = cayley_ball(B, block, DEFAULT_BALL_BUDGET)
         self.seck, self.outk = _power_tables(B, power)
         self.branches = len(B.letters) ** power
         nb = self.ball.size
@@ -154,7 +153,6 @@ def check_item(
     block: int,
     power: int,
     mode: str,
-    ball_budget: int = DEFAULT_BALL_BUDGET,
 ) -> ItemCheck:
     """Exhaustively scan every identity-free block of the given length.
 
@@ -163,7 +161,7 @@ def check_item(
     single-section length and section-length sum seen anywhere.
     """
     _validate_cell(block, power, mode)
-    return _scan_exhaustive(_ScanContext(A, block, power, ball_budget), (mode,))[mode]
+    return _scan_exhaustive(_ScanContext(A, block, power), (mode,))[mode]
 
 
 def _all_blocks(ctx: _ScanContext):
@@ -241,13 +239,12 @@ def check_item_sampled(
     mode: str,
     samples: int = 10_000,
     seed: int = 0,
-    ball_budget: int = DEFAULT_BALL_BUDGET,
 ) -> ItemCheck:
     """Same predicate on seeded random identity-free blocks (CI-scale variant)."""
     _validate_cell(block, power, mode)
     if samples < 1:
         raise AutomatonFormatError("a sampled check needs at least one sample")
-    ctx = _ScanContext(A, block, power, ball_budget)
+    ctx = _ScanContext(A, block, power)
     rng = Random(seed)
     n_enum = len(ctx.enum)
     draws = ([rng.choice(range(n_enum)) for _ in range(block)] for _ in range(samples if n_enum else 0))
@@ -267,9 +264,12 @@ class ContractionCertificate:
     table loaded unchecked rewrites as it reads.  Blocks holding identity
     letters are answered the same way, but ``serialize_certificate`` writes
     only the identity-free blocks, so solving never changes what it writes.
+
+    Mode None marks the reset-rule solver's literal table, block 1 and power
+    1 over a flattened automaton, for which no mode is verified.
     """
 
-    def __init__(self, source, ctx: _ScanContext, mode: str, shrink_num: int, rows: Optional[dict] = None):
+    def __init__(self, source, ctx: _ScanContext, mode: Optional[str], shrink_num: int, rows: Optional[dict] = None):
         self.source = source
         self.closure = ctx.closure
         self.automaton = ctx.automaton
@@ -352,11 +352,10 @@ def build_certificate(
     block: int,
     power: int,
     mode: str,
-    ball_budget: int = DEFAULT_BALL_BUDGET,
 ) -> ContractionCertificate:
     """Scan one cell and package the result; raises if the scan fails."""
     _validate_cell(block, power, mode)
-    ctx = _ScanContext(A, block, power, ball_budget)
+    ctx = _ScanContext(A, block, power)
     res = _scan_exhaustive(ctx, (mode,))[mode]
     if not res.passed:
         raise CertificateNotFound(block, power)
@@ -368,7 +367,7 @@ def build_certificate(
 _PREFERENCE = ("item3", "item1", "item2")
 
 
-def _first_cells(A: MealyAutomaton, max_block: int, max_power: int, ball_budget: int) -> dict:
+def _first_cells(A: MealyAutomaton, max_block: int, max_power: int) -> dict:
     """Each mode's first passing cell in (power, block) order, as the tail
     of ``_package``'s arguments.  Every cell is scanned once, for the live
     modes: those preferred over every mode already placed."""
@@ -377,7 +376,7 @@ def _first_cells(A: MealyAutomaton, max_block: int, max_power: int, ball_budget:
     live = _PREFERENCE
     for power in range(1, max_power + 1):
         for block in range(1, max_block + 1):
-            ctx = _ScanContext(A, block, power, ball_budget)
+            ctx = _ScanContext(A, block, power)
             for mode, res in _scan_exhaustive(ctx, live).items():
                 if res.passed:
                     placed[mode] = (ctx, res)
@@ -400,7 +399,7 @@ def best_certificate(
     else the weak mode at its first cell.  Each cell is scanned once, for all
     modes still in question.  Returns None when nothing in the box certifies.
     """
-    cells = _first_cells(A, search_block, search_power, DEFAULT_BALL_BUDGET)
+    cells = _first_cells(A, search_block, search_power)
     if not cells:
         return None
     return _package(A, *cells[min(cells, key=_PREFERENCE.index)])
@@ -410,16 +409,22 @@ def best_certificate(
 
 def serialize_certificate(cert: ContractionCertificate) -> str:
     """Text form: header ``mode block power num/den``, then one ``sect:`` line
-    per table entry.  Words are '.'-joined state names, '-' when empty."""
+    per table entry.  Words are '.'-joined state names, '-' when empty.  A
+    row the certificate holds (a loaded one, say) is written as it is; any
+    other is read off the walk and not kept."""
     if not cert.eager:
         raise AutomatonFormatError("table is above the eager budget; cannot serialize")
     B = cert.automaton
+    ctx = cert._ctx
     lam = cert.shrink_ratio
     lines = [f"{cert.mode} {cert.block} {cert.power} {lam.numerator}/{lam.denominator}"]
     branches = [_branch_str(B, cert.power, x) for x in range(cert.branches)]
-    for word in itertools.product(cert._ctx.enum, repeat=cert.block):
+    for digits, codes in _all_blocks(ctx):
+        word = tuple(ctx.enum[d] for d in digits)
+        row = cert._memo.get(word)
+        sections = [ctx.rep_of_code(c) for c in codes] if row is None else [out for out, _ in row]
         w = ".".join(B.states[s] for s in word)
-        for xtext, (out_word, _) in zip(branches, cert._row(word)):
+        for xtext, out_word in zip(branches, sections):
             wx = ".".join(B.states[s] for s in out_word) or "-"
             lines.append(f"sect: {w} {xtext} -> {wx}")
     return "\n".join(lines) + "\n"
@@ -442,8 +447,7 @@ def _parse_branch(B: MealyAutomaton, power: int, text: str) -> int:
     return code
 
 
-def load_certificate(text: str, A: MealyAutomaton, validate: bool = True,
-                     ball_budget: int = DEFAULT_BALL_BUDGET) -> ContractionCertificate:
+def load_certificate(text: str, A: MealyAutomaton, validate: bool = True) -> ContractionCertificate:
     """Parse and (by default) re-verify a serialized certificate against A."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -451,7 +455,7 @@ def load_certificate(text: str, A: MealyAutomaton, validate: bool = True,
         raise AutomatonFormatError("empty certificate")
     mode, block, power, lam = _parse_header(lines[0])
 
-    ctx = _ScanContext(A, block, power, ball_budget)
+    ctx = _ScanContext(A, block, power)
     B = ctx.automaton
     six = {s: i for i, s in enumerate(B.states)}
     rows = {}  # block word -> (section, next branch code) per branch, None until read

@@ -14,9 +14,13 @@ engines supply the tape and its phases (drop the short segments, rewrite
 the rest), so they report identical counts.  The Python tape here holds one
 list per segment; the array tape of ``vectorized`` runs each phase as numpy
 passes over the whole tape.  The array engine takes certificates whose
-table is dense over every block (and the reset-rule solver's literal
-sections) on tapes of at least ``_VECTOR_MIN_LETTERS`` letters; everything
-else, certificates above the table budget included, stays on the Python tape.
+table is dense over every block on tapes of at least ``_VECTOR_MIN_LETTERS``
+letters; everything else, certificates above the table budget included,
+stays on the Python tape.
+
+Every staged solver reads a ``ContractionCertificate``'s table.  The
+reset-rule solver without a certificate builds its own, of block 1 and
+power 1 over the automaton flattened by ``loopify``, with mode None.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .automata import MealyAutomaton, WordLike, inverse_closure
-from .contraction import ContractionCertificate, best_certificate, classify_activity, loopify
+from .contraction import ContractionCertificate, _ScanContext, best_certificate, classify_activity, loopify
 from .errors import (
     AutomatonFormatError,
     CertificateMismatch,
@@ -160,38 +164,13 @@ def mx_step(cert: ContractionCertificate, x: int, w: WordLike) -> tuple[str, ...
     return tuple(B.states[s] for s in out)
 
 
-class _LiteralSections:
-    """Block-1 rewriter read off the inverse closure's own transitions.
-
-    A letter's section on branch x is its next state, dropped when that is
-    the identity, and the branch it hands on is its output letter.  It drives
-    the reset-rule solver without a certificate through the same stage
-    engines as the certificate solvers.
-    """
-
-    block = 1
-
-    def __init__(self, A: MealyAutomaton):
-        ic = inverse_closure(A)
-        B = ic.automaton
-        ident = B.identity
-        self.closure = ic
-        self.automaton = B
-        self.branches = len(B.letters)
-        self.sections = [[(t,) if t != ident else () for t in row] for row in B._next]
-        self.outputs = B._out
-        self.table_reads = 0
-        self.dense_table = None
-
-    def entry(self, word, x: int) -> tuple[tuple[int, ...], int]:
-        self.table_reads += 1
-        s = word[0]
-        return self.sections[s][x], self.outputs[s][x]
-
-
 @functools.lru_cache(maxsize=32)
-def _literal_sections(A: MealyAutomaton) -> _LiteralSections:
-    return _LiteralSections(A)
+def _literal_sections(A: MealyAutomaton) -> ContractionCertificate:
+    """The reset-rule solver's table without a certificate: each letter's
+    next state in the flattened automaton, on each branch, and its output
+    letter.  Raises NotPolynomial when A's activity is exponential."""
+    flat = loopify(A)[0]
+    return ContractionCertificate(flat, _ScanContext(flat, 1, 1), None, 0)
 
 
 def _fixes_every_branch(rw, seg) -> bool:
@@ -290,9 +269,9 @@ def _drive(rw, tape, rules: _Rules) -> StepReport:
 
     Each stage charges one scan of the tape for the short-segment check,
     one of the kept letters for the branch-permutation check (folded into
-    the first scan for the literal sections), one more for reading the
-    blocks, one per output letter and per (segment, branch) written, and
-    two per letter and separator copied back."""
+    the first scan for a table without a mode, the reset rule's literal
+    one), one more for reading the blocks, one per output letter and per
+    (segment, branch) written, and two per letter and separator copied back."""
     n = tape.letters
     cap = rules.cap(n)
     steps = 0
@@ -314,7 +293,7 @@ def _drive(rw, tape, rules: _Rules) -> StepReport:
             verdict = tape is not None  # or every segment was short and trivial
             break
         kept, segments = tape.letters, tape.segments
-        if not isinstance(rw, _LiteralSections):
+        if rw.mode is not None:
             steps += kept
         tape = tape.rewrite(rw, rules)
         if tape is None:
@@ -351,12 +330,13 @@ def _plan(
     else:
         cap = functools.partial(_contracting_cap, cert)
     if method == "polynomial" and cert is None:
-        rw, detail = _literal_sections(A), (("degree", degree),)
+        B, detail = A, (("degree", degree),)
     else:
         _require_cert(A, cert)
-        rw, detail = cert, (("mode", cert.mode), ("block", cert.block), ("power", cert.power))
-    if method != "contracting" and rw.automaton.identity is None:
+        B, detail = cert.automaton, (("mode", cert.mode), ("block", cert.block), ("power", cert.power))
+    if method != "contracting" and B.identity is None:  # before flattening, which checks it too
         raise NoIdentityState(f"the {method} solver strips identity letters and needs an identity state")
+    rw = _literal_sections(A) if cert is None else cert
     return rw, _Rules(method, cap, detail)
 
 
@@ -388,18 +368,20 @@ def solve_polynomial(
     cert: Optional[ContractionCertificate] = None,
     stage_cap: Optional[int] = None,
 ) -> StepReport:
-    """Reset-rule solver for flattened automata of polynomial activity.
+    """Reset-rule solver for automata of polynomial activity.
 
-    Expects every nontrivial simple cycle of A to be a self-loop (see
-    ``loopify``).  Each stage replaces a segment by its stripped literal
-    section per branch, except that a section spelling the segment itself
-    becomes empty.  The reset is sound by induction on depth: the branch
+    Without a certificate the solver flattens A first (``loopify``), so that
+    every nontrivial simple cycle is a self-loop, and raises NotPolynomial
+    when A's activity is exponential.  Each stage replaces a segment by its
+    stripped literal section per branch, except that a section spelling the
+    segment itself becomes empty.  The reset is sound by induction on depth: the branch
     permutations were already checked trivial, and every other branch is
     verified on its own tape, so a self-reproducing segment acts trivially
     if and only if the rest of the run accepts.
 
-    With a certificate supplied, block rewriting, stripping, and the reset
-    rule are combined under this mode's stage guard.
+    With a certificate supplied, which fixes the automaton, block
+    rewriting, stripping, and the reset rule are combined under this mode's
+    stage guard.
 
     The paper's bound for polynomial automata, ``n (log n)^d``, has
     ``d = degree + 1`` in this convention: degree 0 (bounded) gives
@@ -446,8 +428,7 @@ def _auto_plan(A: MealyAutomaton, search_block: int, search_power: int) -> Calla
     if A.identity is not None:
         cls = classify_activity(A)
         if cls.kind != "exponential":  # bounded is degree 0
-            flattened, _ = loopify(A)
-            return lambda A, tape: solve_polynomial(flattened, cls.degree, tape)
+            return lambda A, tape: solve_polynomial(A, cls.degree, tape)
     return lambda A, tape: solve_oracle(A, tape)
 
 

@@ -327,20 +327,12 @@ def _cert_table(cert: ContractionCertificate) -> Optional[DenseTable]:
     return DenseTable(cert, row, cur // nb, list(index), ctx.seck, ctx.outk)
 
 
-def _literal_table(rw) -> DenseTable:
-    B = rw.automaton
-    reps = [()] + [(s,) for s in range(len(B.states)) if s != B.identity]
-    index = {rep: i for i, rep in enumerate(reps)}
-    row = np.array([[index[sec] for sec in srow] for srow in rw.sections], dtype=np.int32)
-    return DenseTable(rw, row, np.array(B._out), reps, B._next, B._out)
-
-
 def dense_table(rw) -> Optional[DenseTable]:
     """The rewriter's dense table, built on first use and kept on the
     rewriter; None when the table is too large or its branch group too
     big."""
     if rw.dense_table is None:
-        table = _cert_table(rw) if isinstance(rw, ContractionCertificate) else _literal_table(rw)
+        table = _cert_table(rw)
         usable = table is not None and table.group_order <= _MAX_BRANCH_GROUP
         rw.dense_table = table if usable else False
     return rw.dense_table or None

@@ -149,7 +149,7 @@ def test_oracle_branch_without_identity_state():
 
 @pytest.mark.parametrize(
     "stage, name",
-    [("best_certificate", "basilica"), ("classify_activity", "basilica"), ("loopify", "poly1")],
+    [("best_certificate", "basilica"), ("classify_activity", "basilica"), ("classify_activity", "poly1")],
 )
 def test_failed_search_keeps_no_plan(monkeypatch, stage, name):
     A = catalog.get(name)

@@ -58,7 +58,7 @@ def automaton(name):
 @functools.lru_cache(maxsize=None)
 def reference(name, block, power, mode):
     A = automaton(name)
-    ctx = _ScanContext(A, block, power, DEFAULT_BALL_BUDGET)
+    ctx = _ScanContext(A, block, power)
     B = ctx.automaton
     branch_names = [B.letters_str(d) for d in itertools.product(range(len(B.letters)), repeat=power)]
     max_sec = max_sum = words = 0

@@ -217,6 +217,25 @@ def test_unvalidated_table_serializes_as_it_reads(grig):
     assert _sha1(text) == "e8c130c70af3eb141d7405e5c73ecbbee6dad971"
 
 
+def test_serializing_keeps_no_rows(basilica, grig):
+    # rows the certificate holds are written as they are; the rest are read
+    # off the walk and not kept on the certificate
+    cert = build_certificate(basilica, 6, 2, "item1")
+    serialize_certificate(cert)
+    assert cert._memo == {}
+    from autgrp import solve_contracting
+
+    cert = build_certificate(grig, 2, 1, "item1")
+    solve_contracting(grig, cert, "ab" * 8)
+    held = dict(cert._memo)
+    text = serialize_certificate(cert)
+    assert held and cert._memo == held
+    loaded = load_certificate(text, grig)
+    held = dict(loaded._memo)
+    assert serialize_certificate(loaded) == text
+    assert loaded._memo == held and len(held) == 16
+
+
 def test_table_above_the_budget_is_not_serialized(grig):
     # 4^8 blocks of 4 branches is above DEFAULT_TABLE_BUDGET
     cert = build_certificate(grig, 8, 2, "item1")

@@ -168,3 +168,86 @@ def test_tape_word_round_trips_through_solver(grig, grig_cert):
         solve_bounded(grig, grig_cert, tw).verdict
         == solve_bounded(grig, grig_cert, "cd#b").verdict
     )
+
+
+# ---------------------------------------------- the reset rule's own table
+
+def _reset_rule_words(A, seed):
+    """Seeded trivial ``u u^-1`` words, random words, and ``aA``-style
+    pairs, short enough for the oracle, over the inverse closure's names."""
+    from autgrp import inverse_closure
+
+    ic = inverse_closure(A)
+    names = ic.automaton.states
+    gens = [s for s in range(len(names)) if s != ic.automaton.identity]
+    rng = random.Random(seed)
+    words = [" ".join((names[g], names[ic.inverse_word([g])[0]])) for g in gens]
+    for _ in range(12):
+        u = [rng.choice(gens) for _ in range(rng.randint(1, 6))]
+        words.append(" ".join(names[s] for s in u + list(ic.inverse_word(u))))
+        words.append(" ".join(names[s] for s in rng.choices(gens, k=rng.randint(1, 10))))
+    return words
+
+
+def test_solve_polynomial_flattens_the_automaton(basilica, grig, adding):
+    from test_fuzz import THREE_CYCLE
+
+    from autgrp import classify_activity, loopify
+
+    assert solve_polynomial(basilica, 0, "aA").accepted
+    for seed, A in enumerate((basilica, grig, adding, THREE_CYCLE)):
+        flat, power = loopify(A)
+        degree = classify_activity(A).degree
+        assert power > 1 or A is adding
+        for w in _reset_rule_words(A, seed):
+            report = solve_polynomial(A, degree, w)
+            assert report.to_dict() == solve_polynomial(flat, degree, w).to_dict(), w
+            assert report.verdict == solve_oracle(A, w).verdict, w
+        long_word = " ".join(_reset_rule_words(A, seed)[::2] * 8)
+        assert solve_polynomial(A, degree, long_word) == solve_polynomial(flat, degree, long_word)
+
+
+def test_solve_polynomial_rejects_exponential_activity(flip):
+    from autgrp.errors import NotPolynomial
+
+    with pytest.raises(NotPolynomial):
+        solve_polynomial(flip, 0, "ss")
+
+
+def test_solve_polynomial_needs_an_identity_state():
+    from autgrp.automata import MealyAutomaton
+    from autgrp.errors import NoIdentityState
+
+    lamplighter = MealyAutomaton(("0", "1"), ("a", "b"), [[1, 0], [1, 0]], [[1, 0], [0, 1]])
+    with pytest.raises(NoIdentityState, match="the polynomial solver strips identity letters"):
+        solve_polynomial(lamplighter, 0, "ab")
+
+
+# sha1 of the reset-rule solver's dense table arrays, computed when the
+# table was its own rewriter type over the flattened automaton
+RESET_TABLE_SHA1 = {
+    "poly1": "ec42d3de3ac0c3b07b28642234d4eb9475c5a89a",
+    "basilica": "3bdbf7c960f89d8c44a45bb7323dd150185e379e",
+    "grigorchuk": "c2f473221dff23aa72e9964ef177ab21d79cf8ba",
+    "adding": "d25f80ff984944af63a9d83dc57596215fe3f201",
+}
+
+
+@pytest.mark.parametrize("name", RESET_TABLE_SHA1)
+def test_reset_rule_tables_are_pinned(name):
+    import hashlib
+
+    import numpy as np
+
+    from autgrp import catalog, solvers, vectorized
+
+    rw = solvers._literal_sections(catalog.get(name))
+    assert rw.mode is None and (rw.block, rw.power) == (1, 1)
+    t = vectorized.dense_table(rw)
+    h = hashlib.sha1()
+    for a in (t.row, t.reps, *t.length, *getattr(t, "letter", ()), t.unit_gid, t.prod, t.image_t, t.byte_index):
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    h.update(f"{t.block} {t.branches} {t.n_states} {t.n_codes} {t.maxlen} {t.group_order}".encode())
+    assert h.hexdigest() == RESET_TABLE_SHA1[name]
