@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -186,14 +186,23 @@ class MealyAutomaton:
                     raise UnknownLetter(t, kind)
                 out.append(ixmap[t])
             return tuple(out)
+        if getattr(seq, "ndim", 1) != 1:  # an array of another shape
+            raise AutomatonFormatError(f"a word must be one-dimensional, not {seq.ndim}-dimensional")
+        try:
+            items = iter(seq)
+        except TypeError:
+            raise AutomatonFormatError(f"a word is a string or a sequence, not {type(seq).__name__}") from None
         out = []
-        for item in seq:
+        for item in items:
             if isinstance(item, str):
                 if item not in ixmap:
                     raise UnknownLetter(item, kind)
                 out.append(ixmap[item])
             else:
-                i = int(item)
+                try:
+                    i = index(item)  # no truncation: 1.9 is no index
+                except TypeError:
+                    raise UnknownLetter(item, kind) from None
                 if i < 0 or i >= len(names):
                     raise UnknownLetter(i, kind)
                 out.append(i)
@@ -204,7 +213,9 @@ class MealyAutomaton:
 
         Accepts a string (single-character names run together, otherwise
         whitespace-separated tokens), an iterable of names, or an iterable of
-        indexes.  ``"-"`` and ``""`` denote the empty word.
+        indexes.  ``"-"`` and ``""`` denote the empty word.  An index must be
+        an integer (a float raises UnknownLetter, never truncates), and an
+        array word must be one-dimensional.
         """
         return self._parse_seq(w, self.states, self._six, "state")
 

@@ -280,7 +280,7 @@ class ContractionCertificate:
         self.outputs = ctx.outk  # branch handed on, per state and branch
         self._ctx = ctx
         self._memo = rows if rows is not None else {}
-        self.table_reads = 0
+        self.table_reads = 0  # branches times blocks rewritten, added by solvers._drive
         self.dense_table = None  # array form, built by the first vectorized solve
 
     @property
@@ -312,27 +312,32 @@ class ContractionCertificate:
             self._memo[word] = row
         return row
 
-    def entry(self, word: Word, xcode: int) -> tuple[Word, int]:
-        """Rewrite one block: (shortest section word, next branch code)."""
-        self.table_reads += 1
-        row = self._memo.get(word)  # no call on a hit: this is the solvers' inner loop
-        if row is None:
-            row = self._row(word)
-        return row[xcode]
-
-    def tail_section(self, word, xcode: int) -> tuple[list[int], int]:
-        """Literal section of a short tail (identity letters retained)."""
+    def sections(self, seg, strip: bool) -> tuple[list[list[int]], list[int]]:
+        """Every branch's section of one segment, and the branch code it ends
+        on.  Each full block's row is read once, for all branches; the short
+        tail is threaded letter by letter, its identity letters dropped when
+        ``strip`` is set."""
+        L, memo = self.block, self._memo
+        rows = []
+        for i in range(0, len(seg) - L + 1, L):
+            word = tuple(seg[i : i + L])
+            rows.append(memo.get(word) or self._row(word))  # no call on a hit: the solvers' inner loop
+        tail = seg[len(rows) * L :]
         seck, outk = self._ctx.seck, self._ctx.outk
-        out = []
-        x = xcode
-        for s in word:
-            out.append(seck[s][x])
-            x = outk[s][x]
-        return out, x
-
-    def is_trivial_short(self, word) -> bool:
-        """Ball decision for segments shorter than the block."""
-        return self.ball.walk(word) == 0
+        drop = self.automaton.identity if strip else None
+        outs, ends = [], []
+        for cur in range(self.branches):  # one list grows at a time: less heap than R at once
+            out = []
+            for row in rows:
+                rep, cur = row[cur]
+                out += rep
+            for s in tail:
+                if seck[s][cur] != drop:
+                    out.append(seck[s][cur])
+                cur = outk[s][cur]
+            outs.append(out)
+            ends.append(cur)
+        return outs, ends
 
     def __repr__(self):
         return (

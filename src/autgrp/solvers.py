@@ -131,37 +131,16 @@ def _contracting_cap(cert: ContractionCertificate, n: int) -> int:
     return math.ceil(ln / math.log2(1.0 / lam)) + 8
 
 
-def _mx(cert: ContractionCertificate, seg: list[int], x: int, strip: bool) -> list[int]:
-    """Rewrite one segment for one branch: table entry per full block, then
-    the literal section of the short tail."""
-    L = cert.block
-    out: list[int] = []
-    i = 0
-    n = len(seg)
-    while i + L <= n:
-        rep, x = cert.entry(tuple(seg[i : i + L]), x)
-        out.extend(rep)
-        i += L
-    if i < n:
-        tail, x = cert.tail_section(seg[i:], x)
-        if strip:
-            ident = cert.automaton.identity
-            out.extend(t for t in tail if t != ident)
-        else:
-            out.extend(tail)
-    return out
-
-
 def mx_step(cert: ContractionCertificate, x: int, w: WordLike) -> tuple[str, ...]:
-    """One branch rewrite: table entry per full block, literal section of the
-    short tail.  The result equals the x-section of w as a group element."""
-    seg = list(cert.closure.parse(w))
+    """One branch rewrite: the table row of each full block, then the literal
+    section of the short tail.  The result equals the x-section of w as a
+    group element.  It adds no table reads, which count solves only."""
+    seg = cert.closure.parse(w)
     branches = cert.branches
     if not 0 <= int(x) < branches:
         raise AutomatonFormatError(f"branch index out of range 0..{branches - 1}")
-    out = _mx(cert, seg, int(x), strip=False)
     B = cert.automaton
-    return tuple(B.states[s] for s in out)
+    return tuple(B.states[s] for s in cert.sections(seg, strip=False)[0][int(x)])
 
 
 @functools.lru_cache(maxsize=32)
@@ -208,10 +187,21 @@ class _Rules(NamedTuple):
 _VECTOR_MIN_LETTERS = 256
 
 
+def _tape_size(tape: TapeLike) -> int:
+    """At least the tape's letter count, read without parsing it; 0 for a
+    tape without a length (an iterator, or a bad word that parsing rejects)."""
+    if isinstance(tape, TapeWord):
+        return tape.total_letters
+    try:
+        return len(tape)
+    except TypeError:
+        return 0
+
+
 def _run_stages(rw, rules: _Rules, tape: TapeLike) -> StepReport:
     """Pick the engine: the array engine for dense tables on tapes of at
     least ``_VECTOR_MIN_LETTERS`` letters, the Python tape otherwise."""
-    if not (isinstance(tape, str) and len(tape) < _VECTOR_MIN_LETTERS):
+    if _tape_size(tape) >= _VECTOR_MIN_LETTERS:
         from . import vectorized
 
         table = vectorized.dense_table(rw)
@@ -236,6 +226,9 @@ class _ListTape:
     def max_segment(self) -> int:
         return max(map(len, self.lists), default=0)
 
+    def blocks(self, L: int) -> int:
+        return sum(len(seg) // L for seg in self.lists)
+
     def drop_short(self, rw) -> Optional[_ListTape]:
         """The segments of at least a block, or None when a shorter one is
         nontrivial by the ball walk."""
@@ -243,7 +236,7 @@ class _ListTape:
         for seg in self.lists:
             if len(seg) >= rw.block:
                 keep.append(seg)
-            elif not rw.is_trivial_short(seg):
+            elif not rw.ball.is_trivial_word(seg):
                 return None
         return _ListTape(keep)
 
@@ -256,8 +249,7 @@ class _ListTape:
         reset = rules.method == "polynomial"
         branch_tapes: list[list[list[int]]] = [[] for _ in range(rw.branches)]
         for seg in self.lists:
-            for x, tape_x in enumerate(branch_tapes):
-                out = _mx(rw, seg, x, strip)
+            for tape_x, out in zip(branch_tapes, rw.sections(seg, strip)[0]):
                 if out and not (reset and out == seg):
                     tape_x.append(out)
         return _ListTape([out for tape_x in branch_tapes for out in tape_x])
@@ -271,7 +263,9 @@ def _drive(rw, tape, rules: _Rules) -> StepReport:
     one of the kept letters for the branch-permutation check (folded into
     the first scan for a table without a mode, the reset rule's literal
     one), one more for reading the blocks, one per output letter and per
-    (segment, branch) written, and two per letter and separator copied back."""
+    (segment, branch) written, and two per letter and separator copied back.
+    A rewrite also adds one table read per full block and branch to the
+    rewriter's ``table_reads``."""
     n = tape.letters
     cap = rules.cap(n)
     steps = 0
@@ -292,7 +286,7 @@ def _drive(rw, tape, rules: _Rules) -> StepReport:
         if tape is None or not tape.segments:
             verdict = tape is not None  # or every segment was short and trivial
             break
-        kept, segments = tape.letters, tape.segments
+        kept, segments, blocks = tape.letters, tape.segments, tape.blocks(rw.block)
         if rw.mode is not None:
             steps += kept
         tape = tape.rewrite(rw, rules)
@@ -300,6 +294,7 @@ def _drive(rw, tape, rules: _Rules) -> StepReport:
             verdict = False
             break
         steps += kept + rw.branches * segments + 3 * tape.letters + 2 * tape.segments
+        rw.table_reads += rw.branches * blocks
         stages += 1
     detail = {**dict(rules.detail), "stage_cap": cap}
     return StepReport(rules.method, verdict, n, steps, stages, tuple(stage_tape), tuple(stage_maxseg), detail)

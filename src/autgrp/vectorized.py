@@ -6,10 +6,8 @@ rewrite phase cuts the kept segments into units (full blocks and tail
 letters), composes their branch maps by a prefix scan over the whole tape,
 rejects on a segment whose map is not the identity, and spells each
 branch's output from a dense table of every unit and branch, branch by
-branch so that temporaries stay one unit array wide.  Steps are counted
-once, by ``solvers._drive``, for both engines; this module counts only the
-table reads, ``branches`` per full block, as ``ContractionCertificate.entry``
-counts them on the Python tape.
+branch so that temporaries stay one unit array wide.  Steps and table
+reads are counted once, by ``solvers._drive``, for both engines.
 
 Gathers go through ``take`` and selections through ``compress``: on the
 int16 index arrays and data-dependent masks of a stage, subscripting was
@@ -223,11 +221,11 @@ class DenseTable:
         return not cur.any()
 
     def units(self, letters: np.ndarray, lens: np.ndarray):
-        """Unit codes, units per segment, and full blocks of a tape whose
-        segments are all at least a block long."""
+        """Unit codes and units per segment of a tape whose segments are all
+        at least a block long."""
         L = self.block
         if L == 1:
-            return letters.astype(self.cell_dtype), lens, len(letters)
+            return letters.astype(self.cell_dtype), lens
         starts = (np.cumsum(lens) - lens).astype(np.int32)
         cut = lens // L * L
         local = np.arange(len(letters), dtype=np.int32) - np.repeat(starts, lens)
@@ -244,7 +242,7 @@ class DenseTable:
             block_code += letters.take(head + d, mode="clip")
         code += self.n_codes
         np.copyto(code, block_code, where=blk)
-        return code, lens // L + (lens - cut), int(np.count_nonzero(blk))
+        return code, lens // L + (lens - cut)
 
     def branch_prefix(self, code: np.ndarray, last: np.ndarray):
         """Per unit, the id of the branch map of the units before it in its
@@ -293,7 +291,7 @@ def _cert_table(cert: ContractionCertificate) -> Optional[DenseTable]:
     states fits the table budget.  Rows the certificate has memoized, loaded
     ones included, override the ball walk, so a table loaded without
     validation rewrites as it reads; every other row is the walk, as
-    ``ContractionCertificate.entry`` computes it.  Next branches always
+    ``ContractionCertificate.sections`` reads it.  Next branches always
     follow the walk, which is how every entry's next branch was made."""
     ctx = cert._ctx
     n_states = len(cert.automaton.states)
@@ -354,6 +352,9 @@ class _ArrayTape:
     def max_segment(self) -> int:
         return int(self.lens.max()) if self.segments else 0
 
+    def blocks(self, L: int) -> int:
+        return int((self.lens // L).sum())
+
     def drop_short(self, rw) -> Optional[_ArrayTape]:
         """The segments of at least a block, or None when a shorter one is
         nontrivial by the ball walk."""
@@ -371,7 +372,7 @@ class _ArrayTape:
         order, or None when some segment permutes a branch.  Branches are
         spelled one at a time, so temporaries stay one unit array wide."""
         table, letters, lens = self.table, self.array, self.lens
-        code, units, blocks = table.units(letters, lens)
+        code, units = table.units(letters, lens)
         last = np.cumsum(units) - 1
         before = table.branch_prefix(code, last)
         if before is None:
@@ -379,7 +380,6 @@ class _ArrayTape:
         strip = rules.method != "contracting"
         reset = rules.method == "polynomial"
         R = table.branches
-        rw.table_reads += R * blocks
         first = last - units + 1
         code *= R
         chunks, seg_lens = [], []

@@ -325,3 +325,32 @@ def test_load_rejects_unknown_section_letters(basilica, validate):
         text = "\n".join(lines[:-1] + [f"sect: B 1 -> {bad}"]) + "\n"
         with pytest.raises(UnknownLetter, match="section word"):
             load_certificate(text, basilica, validate=validate)
+
+
+# every branch's rewrite of words whose tails hold identity letters, as
+# computed when each (block, branch) entry and each tail were read apart
+MX_TAILS = {
+    "grig": {
+        "abe": [("c", "e"), ("a", "e")],
+        "aebda": [("d", "e"), ("a", "e")],
+        "eae": [("e",), ("e",)],
+        "dcbae": [("a", "a", "e"), ("c", "c", "e")],
+    },
+    "basilica": {
+        "abAe": [("e",), ("b", "e"), ("e",), ("e",)],
+        "aBeb": [("B", "b"), ("e",), ("e",), ("a", "e")],
+        "ebab": [("e",), ("b",), ("a", "e"), ("b", "e")],
+        "abeBa": [("e", "e"), ("b", "B", "a"), ("e", "e"), ("a", "e", "e")],
+        "AeabB": [("e", "e"), ("e", "e"), ("e", "e"), ("b", "B")],
+        "babAB": [("e", "e"), ("b", "e", "e"), ("a", "A", "e"), ("b", "e", "B")],
+    },
+}
+
+
+@pytest.mark.parametrize("name", MX_TAILS)
+def test_mx_step_keeps_tail_identity_letters(name, grig_cert, basilica_cert):
+    cert = {"grig": grig_cert, "basilica": basilica_cert}[name]
+    reads = cert.table_reads
+    for word, sections in MX_TAILS[name].items():
+        assert [mx_step(cert, x, word) for x in range(cert.branches)] == sections, word
+    assert cert.table_reads == reads  # a single rewrite is no solve

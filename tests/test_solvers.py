@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from autgrp import (
@@ -251,3 +252,113 @@ def test_reset_rule_tables_are_pinned(name):
         h.update(a.tobytes())
     h.update(f"{t.block} {t.branches} {t.n_states} {t.n_codes} {t.maxlen} {t.group_order}".encode())
     assert h.hexdigest() == RESET_TABLE_SHA1[name]
+
+
+# Table reads of fixed solves on fresh certificates, one per full block
+# and branch rewritten, as the Python tape counted them entry by entry
+def _lazy_basilica_word():
+    u = "".join(random.Random(5).choices("abAB", k=300))
+    return u + u[::-1].translate(str.maketrans("abAB", "ABab"))
+
+
+TABLE_READS = {
+    "grig-python": ("grigorchuk", (2, 1, "item1"), "ab" * 16, True, 112),
+    "grig-array": ("grigorchuk", (2, 1, "item1"), ("ab" * 16 + "ad" * 4 + "ac" * 8) * 6, True, 984),
+    "lazy-basilica": ("basilica", (8, 2, "item1"), _lazy_basilica_word(), True, 512),
+    "permutes-python": ("grigorchuk", (2, 1, "item1"), "abab#ab", False, 0),
+    "permutes-array": ("grigorchuk", (2, 1, "item1"), "ab" * 150 + "a", False, 0),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_READS)
+def test_table_reads_are_pinned(case):
+    from autgrp import catalog
+
+    name, cell, word, verdict, reads = TABLE_READS[case]
+    A = catalog.get(name)
+    cert = build_certificate(A, *cell)
+    r = solve_bounded(A, cert, word)
+    assert r.verdict == verdict
+    assert cert.table_reads == reads
+    assert bool(cert.dense_table) == case.endswith("array")  # False: too large for one
+    if not verdict:
+        assert r.stages == 0  # rejected at the first branch-permutation scan
+
+
+def test_reset_rule_table_reads_are_pinned(poly1):
+    from autgrp import solvers
+
+    rw = solvers._literal_sections(poly1)
+    before = rw.table_reads
+    assert not solve_polynomial(poly1, 1, "babA" * 64).accepted
+    assert rw.table_reads - before == 13824
+
+
+def test_short_tapes_never_load_the_array_engine():
+    # a tape below the engine cutoff is sized before anything is parsed,
+    # so it neither loads numpy nor builds the dense table
+    import os
+    import subprocess
+    import sys
+
+    import autgrp
+
+    src = os.path.dirname(os.path.dirname(autgrp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import sys\n"
+        "from autgrp import TapeWord, build_certificate, catalog, solve_bounded\n"
+        "A = catalog.get('grigorchuk')\n"
+        "cert = build_certificate(A, 2, 1, 'item1')\n"
+        "print(solve_bounded(A, cert, list('cdb')).accepted)\n"
+        "print(solve_bounded(A, cert, TapeWord(['cdb', 'ab' * 16])).accepted)\n"
+        "print('numpy' in sys.modules, cert.dense_table is None)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True", "True", "False", "True"]
+
+
+def test_an_iterator_tape_is_parsed_once(grig, grig_cert):
+    assert not solve_bounded(grig, grig_cert, iter("ab")).accepted
+    assert solve_bounded(grig, grig_cert, iter("ab" * 16)).accepted
+
+
+BAD_WORDS = {
+    "floats": ([1.9, 1.2], "UnknownLetter"),
+    "long-floats": ([1.9, 1.2] * 150, "UnknownLetter"),
+    "float-array": (np.full(300, 1.5), "UnknownLetter"),
+    "0-d-array": (np.array(3), "AutomatonFormatError"),
+    "2-d-array": (np.array([[1, 2], [3, 4]]), "AutomatonFormatError"),
+    "long-2-d-array": (np.ones((300, 2), dtype=int), "AutomatonFormatError"),
+    "number": (5, "AutomatonFormatError"),
+}
+
+
+def _grig_solver(name, grig, grig_cert):
+    return {
+        "bounded": lambda w: solve_bounded(grig, grig_cert, w),
+        "oracle": lambda w: solve_oracle(grig, w),
+        "polynomial": lambda w: solve_polynomial(grig, 0, w),
+    }[name]
+
+
+@pytest.mark.parametrize("solver", ["bounded", "oracle", "polynomial"])
+@pytest.mark.parametrize("form", BAD_WORDS)
+def test_bad_index_words_raise_typed_errors(grig, grig_cert, solver, form):
+    from autgrp import errors
+
+    word, error = BAD_WORDS[form]
+    with pytest.raises(errors.AutomatonFormatError) as info:
+        _grig_solver(solver, grig, grig_cert)(word)
+    # a float is no index: 1.9 used to be read as the letter a
+    assert type(info.value) is getattr(errors, error)
+
+
+@pytest.mark.parametrize("solver", ["bounded", "oracle", "polynomial"])
+def test_integer_words_still_parse(grig, grig_cert, solver):
+    solve = _grig_solver(solver, grig, grig_cert)
+    a, b = grig.states.index("a"), grig.states.index("b")
+    assert solve([a, a]).accepted
+    assert solve(np.array([a, b] * 16)).accepted
+    assert solve(np.array([a, b] * 160, dtype=np.int16)).accepted
+    assert not solve([np.int64(a), b]).accepted
