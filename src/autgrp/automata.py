@@ -179,13 +179,11 @@ class MealyAutomaton:
                 return ()
             toks = txt.split()
             if len(toks) == 1 and toks[0] not in ixmap and len(toks[0]) > 1:
-                toks = list(toks[0])
-            out = []
-            for t in toks:
-                if t not in ixmap:
-                    raise UnknownLetter(t, kind)
-                out.append(ixmap[t])
-            return tuple(out)
+                toks = toks[0]  # run-together one-character names
+            try:
+                return tuple(map(ixmap.__getitem__, toks))
+            except KeyError as exc:  # map stops at the first bad letter
+                raise UnknownLetter(exc.args[0], kind) from None
         if getattr(seq, "ndim", 1) != 1:  # an array of another shape
             raise AutomatonFormatError(f"a word must be one-dimensional, not {seq.ndim}-dimensional")
         try:

@@ -258,12 +258,14 @@ class ContractionCertificate:
     """Verified block-rewrite table for one contraction mode.
 
     The table maps (block, branch code) to the shortest representative of the
-    block's section and the branch code it hands to the next block.  A block's
-    row, every branch at once, is walked through the Cayley ball on first use
-    and memoized; ``load_certificate`` seeds the rows with the file's, so a
-    table loaded unchecked rewrites as it reads.  Blocks holding identity
-    letters are answered the same way, but ``serialize_certificate`` writes
-    only the identity-free blocks, so solving never changes what it writes.
+    block's section and the branch code it hands to the next block, so
+    ``sections`` returns a segment's end branches, the solvers' permutation
+    check, with its sections.  A block's row, every branch at once, is walked
+    through the Cayley ball on first use and memoized; ``load_certificate``
+    seeds the rows with the file's, so a table loaded unchecked rewrites as
+    it reads.  Blocks holding identity letters are answered the same way,
+    but ``serialize_certificate`` writes only the identity-free blocks, so
+    solving never changes what it writes.
 
     Mode None marks the reset-rule solver's literal table, block 1 and power
     1 over a flattened automaton, for which no mode is verified.
@@ -277,7 +279,6 @@ class ContractionCertificate:
         self.block = ctx.block
         self.power = ctx.power
         self.shrink_ratio = Fraction(shrink_num, ctx.block)
-        self.outputs = ctx.outk  # branch handed on, per state and branch
         self._ctx = ctx
         self._memo = rows if rows is not None else {}
         self.table_reads = 0  # branches times blocks rewritten, added by solvers._drive

@@ -5,9 +5,11 @@ Each solver simulates a staged tape machine.  A stage reads the tape of
 ball lookup, rejects when a segment permutes a branch of the power alphabet,
 rewrites every surviving segment into one section per branch using the
 certificate tables, and copies the branch tapes back as the next stage's
-tape.  Every symbol read or written on any simulated tape counts as one
-elementary step; those counts, not wall-clock time, are what the benchmark
-fitter consumes.
+tape.  A word's action is its root permutation plus its sections, so the
+rows that spell a segment's sections also give the branch each branch ends
+on: both engines read the permutation check there.  Every symbol read or
+written on any simulated tape counts as one elementary step; those counts,
+not wall-clock time, are what the benchmark fitter consumes.
 
 One driver, ``_drive``, runs the stage loop and counts every step; two
 engines supply the tape and its phases (drop the short segments, rewrite
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -136,11 +139,13 @@ def mx_step(cert: ContractionCertificate, x: int, w: WordLike) -> tuple[str, ...
     section of the short tail.  The result equals the x-section of w as a
     group element.  It adds no table reads, which count solves only."""
     seg = cert.closure.parse(w)
-    branches = cert.branches
-    if not 0 <= int(x) < branches:
-        raise AutomatonFormatError(f"branch index out of range 0..{branches - 1}")
-    B = cert.automaton
-    return tuple(B.states[s] for s in cert.sections(seg, strip=False)[0][int(x)])
+    try:
+        x = operator.index(x)  # no truncation: 1.5 is no branch
+    except TypeError:
+        x = -1
+    if not 0 <= x < cert.branches:
+        raise AutomatonFormatError(f"branch index must be an integer in 0..{cert.branches - 1}")
+    return tuple(cert.automaton.states[s] for s in cert.sections(seg, strip=False)[0][x])
 
 
 @functools.lru_cache(maxsize=32)
@@ -150,19 +155,6 @@ def _literal_sections(A: MealyAutomaton) -> ContractionCertificate:
     letter.  Raises NotPolynomial when A's activity is exponential."""
     flat = loopify(A)[0]
     return ContractionCertificate(flat, _ScanContext(flat, 1, 1), None, 0)
-
-
-def _fixes_every_branch(rw, seg) -> bool:
-    """True iff the segment permutes no branch: ``rw.outputs[s][x]`` is the
-    branch letter s hands on from branch x."""
-    out = rw.outputs
-    for x in range(rw.branches):
-        cur = x
-        for s in seg:
-            cur = out[s][cur]
-        if cur != x:
-            return False
-    return True
 
 
 class _Rules(NamedTuple):
@@ -187,21 +179,26 @@ class _Rules(NamedTuple):
 _VECTOR_MIN_LETTERS = 256
 
 
-def _tape_size(tape: TapeLike) -> int:
-    """At least the tape's letter count, read without parsing it; 0 for a
-    tape without a length (an iterator, or a bad word that parsing rejects)."""
+def _long_tape(tape: TapeLike) -> bool:
+    """Whether the tape has at least ``_VECTOR_MIN_LETTERS`` letters, read
+    without parsing it; False for a tape without a length (an iterator, or a
+    bad word).  A string's whitespace and ``#`` are no letters, which is exact
+    for one-character names, and a head with enough letters decides alone."""
     if isinstance(tape, TapeWord):
-        return tape.total_letters
+        return tape.total_letters >= _VECTOR_MIN_LETTERS
+    if isinstance(tape, str):
+        texts = (tape[: 2 * _VECTOR_MIN_LETTERS], tape)
+        return any(sum(map(len, t.split())) - t.count("#") >= _VECTOR_MIN_LETTERS for t in texts)
     try:
-        return len(tape)
+        return len(tape) >= _VECTOR_MIN_LETTERS
     except TypeError:
-        return 0
+        return False
 
 
 def _run_stages(rw, rules: _Rules, tape: TapeLike) -> StepReport:
     """Pick the engine: the array engine for dense tables on tapes of at
     least ``_VECTOR_MIN_LETTERS`` letters, the Python tape otherwise."""
-    if _tape_size(tape) >= _VECTOR_MIN_LETTERS:
+    if _long_tape(tape):
         from . import vectorized
 
         table = vectorized.dense_table(rw)
@@ -242,14 +239,16 @@ class _ListTape:
 
     def rewrite(self, rw, rules: _Rules) -> Optional[_ListTape]:
         """The nonempty sections of every segment, branch by branch, or None
-        when a segment permutes a branch."""
-        if not all(_fixes_every_branch(rw, seg) for seg in self.lists):
-            return None
+        when a segment's rows do not end every branch on itself."""
         strip = rules.method != "contracting"
         reset = rules.method == "polynomial"
-        branch_tapes: list[list[list[int]]] = [[] for _ in range(rw.branches)]
+        fixed = list(range(rw.branches))
+        branch_tapes: list[list[list[int]]] = [[] for _ in fixed]
         for seg in self.lists:
-            for tape_x, out in zip(branch_tapes, rw.sections(seg, strip)[0]):
+            outs, ends = rw.sections(seg, strip)
+            if ends != fixed:
+                return None
+            for tape_x, out in zip(branch_tapes, outs):
                 if out and not (reset and out == seg):
                     tape_x.append(out)
         return _ListTape([out for tape_x in branch_tapes for out in tape_x])
@@ -264,8 +263,9 @@ def _drive(rw, tape, rules: _Rules) -> StepReport:
     the first scan for a table without a mode, the reset rule's literal
     one), one more for reading the blocks, one per output letter and per
     (segment, branch) written, and two per letter and separator copied back.
-    A rewrite also adds one table read per full block and branch to the
-    rewriter's ``table_reads``."""
+    The charges model the tape machine, not the simulation, whose engines
+    read that check off the rewrite.  A rewrite also adds one table read per
+    full block and branch to the rewriter's ``table_reads``."""
     n = tape.letters
     cap = rules.cap(n)
     steps = 0

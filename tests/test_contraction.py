@@ -1,8 +1,10 @@
 """Block-shrink checks, certificates, and activity classification."""
 
 import hashlib
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from autgrp import (
@@ -16,7 +18,9 @@ from autgrp import (
     loopify,
     mx_step,
     serialize_certificate,
+    solvers,
 )
+from autgrp.automata import _power_tables
 from autgrp.errors import (
     AutomatonFormatError,
     NotPolynomial,
@@ -99,6 +103,47 @@ def test_mx_step_rewrites_blocks(grig_cert, basilica_cert, basilica_weak_cert):
     assert mx_step(basilica_cert, 0, "abbaab") == ("b",)
     assert mx_step(grig_cert, 0, "abab") == ("c", "a")
     assert mx_step(grig_cert, 1, "abab") == ("a", "c")
+    assert mx_step(grig_cert, np.int64(1), "abab") == ("a", "c")
+    with pytest.raises(AutomatonFormatError, match="integer"):
+        mx_step(grig_cert, 1.5, "ab")  # no truncation to branch 1
+
+
+def _threaded_ends(rw, seg):
+    """Each branch threaded through the segment letter by letter by the
+    power alphabet's output table: the branch-permutation check the Python
+    tape made before it read the end branches off the table rows."""
+    out = _power_tables(rw.automaton, rw.power)[1]
+    ends = []
+    for x in range(rw.branches):
+        cur = x
+        for s in seg:
+            cur = out[s][cur]
+        ends.append(cur)
+    return ends
+
+
+def test_section_ends_are_the_threaded_branches(grig, basilica, poly1, grig_cert, basilica_cert, basilica_weak_cert):
+    rewriters = {
+        "grig item1 (2,1)": grig_cert,
+        "basilica item1 (3,2)": basilica_cert,
+        "basilica item2 (1,1)": basilica_weak_cert,
+        "poly1 reset rule": solvers._literal_sections(poly1),
+        "basilica reset rule": solvers._literal_sections(basilica),
+        "grig unvalidated": load_certificate(serialize_certificate(grig_cert), grig, validate=False),
+        "basilica unvalidated": load_certificate(serialize_certificate(basilica_cert), basilica, validate=False),
+    }
+    rng = random.Random(16)
+    for name, rw in rewriters.items():
+        letters = range(len(rw.automaton.states))  # the identity among them
+        fixed = list(range(rw.branches))
+        permuting = 0
+        for _ in range(150):
+            seg = rng.choices(letters, k=rng.randrange(3 * rw.block + 2))  # every tail length
+            ends = _threaded_ends(rw, seg)
+            permuting += ends != fixed
+            for strip in (False, True):
+                assert rw.sections(seg, strip)[1] == ends, (name, seg, strip)
+        assert 0 < permuting < 150, name  # both verdicts of the check are seen
 
 
 def test_serialize_round_trip(grig, grig_cert):

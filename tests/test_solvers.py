@@ -312,10 +312,23 @@ def test_short_tapes_never_load_the_array_engine():
         "cert = build_certificate(A, 2, 1, 'item1')\n"
         "print(solve_bounded(A, cert, list('cdb')).accepted)\n"
         "print(solve_bounded(A, cert, TapeWord(['cdb', 'ab' * 16])).accepted)\n"
+        "spaced = solve_bounded(A, cert, ' '.join(['a'] * 130))\n"  # 259 characters, 130 letters
+        "print(spaced.accepted, spaced.to_dict() == solve_bounded(A, cert, 'a' * 130).to_dict())\n"
         "print('numpy' in sys.modules, cert.dense_table is None)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["True", "True", "False", "True"]
+    assert proc.stdout.split() == ["True", "True", "True", "True", "False", "True"]
+
+
+def test_long_tape_counts_letters_not_separators():
+    from autgrp.solvers import _VECTOR_MIN_LETTERS as cut
+    from autgrp.solvers import _long_tape
+
+    assert _long_tape("ab" * cut) and not _long_tape("a" * (cut - 1))
+    assert not _long_tape(" ".join("a" * (cut - 1)) + " \t\n" * 200)
+    assert not _long_tape("#".join(["ab"] * (cut // 2 - 1)))
+    assert _long_tape(" " * 3 * cut + "a" * cut)  # letters past a head of whitespace
+    assert _long_tape(TapeWord([["a"] * cut])) and not _long_tape(iter("a" * cut))
 
 
 def test_an_iterator_tape_is_parsed_once(grig, grig_cert):
