@@ -1,10 +1,11 @@
 """Word-problem solvers for automaton groups and nilpotent instance groups.
 
-``nilpotent`` and ``bench`` need numpy, so importing the package does not run
-them: both are registered in ``sys.modules`` as lazy modules whose code (and
-numpy) loads on the first attribute read, and their exported names are
-served by the module ``__getattr__``.  ``autgrp.nilpotent.build_instance``
-and ``from autgrp import build_instance`` work as for any other module.
+``nilpotent`` and ``bench`` need numpy, and ``cli`` is only for the command
+line, so importing the package does not run them: all three are registered
+in ``sys.modules`` as lazy modules whose code (and numpy, or argparse) loads
+on the first attribute read, and their exported names are served by the
+module ``__getattr__``.  ``autgrp.nilpotent.build_instance`` and
+``from autgrp import build_instance`` work as for any other module.
 """
 
 import importlib
@@ -94,7 +95,7 @@ _EXPORTS = {
     ),
     "cli": ("cli_main",),
 }
-_LAZY = ("nilpotent", "bench")
+_LAZY = ("nilpotent", "bench", "cli")
 
 
 def _lazy_module(name: str):

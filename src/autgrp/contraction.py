@@ -68,6 +68,7 @@ class _ScanContext:
         ident = B.identity
         pos = self.ball.gen_pos
         edges = self.ball.edges
+        code = list(range(self.branches * nb))  # one int object per code, shared by every row
         self.trans = {}
         for s in range(len(B.states)):
             row = [-1] * (self.branches * nb)
@@ -78,13 +79,13 @@ class _ScanContext:
                 base = x * nb
                 if g == ident:
                     for el in range(nb):
-                        row[base + el] = nx + el
+                        row[base + el] = code[nx + el]
                 else:
                     gp = pos[g]
                     for el in range(nb):
                         e_row = edges[el]
                         if e_row is not None:
-                            row[base + el] = nx + e_row[gp]
+                            row[base + el] = code[nx + e_row[gp]]
             self.trans[s] = row
         self.len_code = [self.ball.length[c % nb] for c in range(self.branches * nb)]
 

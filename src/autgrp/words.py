@@ -12,7 +12,6 @@ import functools
 import io
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .automata import MealyAutomaton, Word, WordLike, _partition, inverse_closure
@@ -160,24 +159,28 @@ def _minimal_keys(m: int, children: list, perms: list, roots: Iterable[int]) -> 
     up to isomorphism, so any transducer of it gives the same key.
     """
     cls = _partition(children, perms)
-    rep = dict(zip(cls, range(len(cls))))  # any member stands for its class
-    keys = []
-    for root in roots:
-        order = {cls[root]: 0}
-        queue = [cls[root]]
-        flat = [m]
-        for c in queue:  # grows while it is walked
-            i = rep[c]
-            for j in children[i]:
-                cj = cls[j]
-                k = order.get(cj)
-                if k is None:
-                    k = order[cj] = len(queue)
-                    queue.append(cj)
-                flat.append(k)
-            flat += perms[i]
-        keys.append(tuple(flat))
-    return keys
+    rep = dict(zip(cls, range(len(cls)))).values()  # any member stands for its class, in class order
+    kids = [[cls[j] for j in children[i]] for i in rep]
+    images = [perms[i] for i in rep]
+    return [_bfs_key(m, kids, images, cls[root]) for root in roots]
+
+
+def _bfs_key(m: int, children, perms, root) -> tuple:
+    """Key of ``root`` in a transducer whose states all act differently: its
+    states numbered breadth-first from the root, each laid out as its
+    children's numbers and then its images, after the alphabet size."""
+    order = {root: 0}
+    queue = [root]
+    flat = [m]
+    for i in queue:  # grows while it is walked
+        for j in children[i]:
+            k = order.get(j)
+            if k is None:
+                k = order[j] = len(queue)
+                queue.append(j)
+            flat.append(k)
+        flat += perms[i]
+    return tuple(flat)
 
 
 def _times_states(A: MealyAutomaton, key: tuple, gens: Sequence[int]) -> list:
@@ -228,24 +231,53 @@ class CayleyBall:
     Holds one shortest representative word per element, element lengths, and
     multiplication edges ``element * generator`` for every element strictly
     inside the ball, which is exactly what is needed to walk any word of
-    length <= radius starting at the identity.
+    length <= radius starting at the identity.  ``keys`` maps each element's
+    canonical key to its index, in index order.
+
+    A ball cut from the layer store builds ``reps`` and ``keys`` on first
+    read.  Each element is numbered at its first product ``h*g`` in (h, g)
+    order, so its word is h's word and g, read off the edge rows; its key is
+    a breadth-first walk over the section ids the store gave the ball.
     """
 
-    __slots__ = ("automaton", "gens", "radius", "keys", "reps", "length", "edges", "gen_pos")
+    __slots__ = ("automaton", "gens", "radius", "_keys", "_reps", "_sections", "length", "edges", "gen_pos")
 
     def __init__(self, automaton, gens, radius, keys, reps, length, edges):
         self.automaton = automaton
         self.gens = gens
         self.radius = radius
-        self.keys = keys
-        self.reps = reps
+        self._keys = keys
+        self._reps = reps
+        self._sections = None  # (root permutations, section ids) while the keys are unbuilt
         self.length = length
         self.edges = edges
         self.gen_pos = {g: i for i, g in enumerate(gens)}
 
     @property
     def size(self) -> int:
-        return len(self.reps)
+        return len(self.length)
+
+    @property
+    def reps(self) -> list:
+        if self._reps is None:
+            reps = [()]
+            for rep, row in zip(reps, self.edges):  # grows while it is walked
+                if row is None:
+                    break
+                for g, v in zip(self.gens, row):
+                    if v == len(reps):
+                        reps.append(rep + (g,))
+            self._reps = reps
+        return self._reps
+
+    @property
+    def keys(self) -> dict:
+        if self._keys is None:
+            perm, sec = self._sections
+            m = len(self.automaton.letters)
+            self._keys = {_bfs_key(m, sec, perm, i): i for i in range(self.size)}
+            self._sections = None
+        return self._keys
 
     def walk(self, word: Iterable[int], start: int = 0) -> Optional[int]:
         """Element index reached by multiplying the word's letters; None if
@@ -271,75 +303,217 @@ def _nontrivial_states(A: MealyAutomaton) -> list[int]:
     return [s for s in range(len(A.states)) if s != A.identity]
 
 
-class _BallLayers:
-    """One automaton's breadth-first ball, grown a layer at a time.
+_PENDING = -1  # a product of the layer being grown whose sections are being resolved
 
-    BFS numbers elements layer by layer, so the ball of radius r is the first
+
+class _BallLayers:
+    """One automaton's breadth-first ball, grown a layer at a time by the
+    wreath recursion.
+
+    BFS numbers elements layer by layer, each new element at its first
+    product ``h*g`` in (h, g) order, so the ball of radius r is the first
     ``bounds[r+1]`` elements of any larger ball, with the edge rows of layer
     r (``bounds[r]`` onwards) cut to None.  ``edges`` holds the rows of every
-    layer but the outermost.  The keys of an element's neighbours are
-    composed from its own key.
+    layer but the outermost.
+
+    The store never holds two equal elements, so an element is fixed by its
+    signature: its root permutation ``perm[i]`` (one shared tuple per
+    permutation) and its first-level section ids ``sec[i]``.  ``index[p]``
+    is ``(p, {section ids: element})``; a permutation keeps its entry once
+    met, and ``times[p]`` its products with the generators.  With h acting
+    first, ``(h*g)|x = h|x * g|h(x)``: a section of h times a state, which
+    is an edge row of a stored element or another product of the growing
+    layer, resolved first.  A product whose sections lead back to itself
+    lies on a section cycle and has no signature to look up before it is
+    known; it is composed from h's key by ``_times_states`` and named class
+    by class (``_identify``).  Elements on a section cycle are also kept by
+    canonical key in ``cycle_keys``; no other element is, since every
+    section of an element met by its signature was stored before it.
     """
 
-    __slots__ = ("automaton", "gens", "budget", "keys", "reps", "length", "edges", "bounds")
+    __slots__ = ("automaton", "gens", "budget", "perm", "sec", "index", "times", "cycle_keys", "edges", "bounds")
 
     def __init__(self, A: MealyAutomaton, budget: int):
-        root = canonical_key(A, ())
+        m = len(A.letters)
+        root, zero = tuple(range(m)), (0,) * m
         self.automaton = A
         self.gens = tuple(_nontrivial_states(A))
         self.budget = budget
-        self.keys = {root: 0}  # in index order
-        self.reps = [()]
-        self.length = [0]
+        self.index = {root: (root, {zero: 0})}
+        self.times = {}
+        self.perm = [root]
+        self.sec = [zero]
+        self.cycle_keys = {canonical_key(A, ()): 0}
         self.edges = []
         self.bounds = [0, 1]
 
     def cut(self, radius: int) -> CayleyBall:
         """The ball of a radius the store has reached."""
-        inner, n = self.bounds[radius], self.bounds[radius + 1]
-        # copying keeps each key's stored hash; rebuilding rehashes every key
-        keys = self.keys.copy() if n == len(self.keys) else dict(islice(self.keys.items(), n))
-        return CayleyBall(
-            self.automaton,
-            self.gens,
-            radius,
-            keys,
-            self.reps[:n],
-            self.length[:n],
-            self.edges[:inner] + [None] * (n - inner),
-        )
+        bounds = self.bounds
+        inner, n = bounds[radius], bounds[radius + 1]
+        length = [d for d in range(radius + 1) for _ in range(bounds[d], bounds[d + 1])]
+        edges = self.edges[:inner] + [None] * (n - inner)
+        ball = CayleyBall(self.automaton, self.gens, radius, None, None, length, edges)
+        ball._sections = (self.perm[:n], self.sec[:n])
+        return ball
 
     def grow(self) -> None:
         """Add the next layer.  A layer that stops part-way, over the budget
         or otherwise, is taken back whole, so a retry starts from the same
         state."""
-        A, gens, budget = self.automaton, self.gens, self.budget
-        keys, reps, length = self.keys, self.reps, self.length
         lo, hi = self.bounds[-2], self.bounds[-1]
-        dist = len(self.bounds) - 1
-        rows = []
+        self.edges += [[None] * len(self.gens) for _ in range(lo, hi)]  # filled in place
         try:
-            for i, h in enumerate(list(islice(keys, lo, hi)), lo):
-                rep = reps[i]
-                row = []
-                for g, key in zip(gens, _times_states(A, h, gens)):
-                    j = keys.get(key)
-                    if j is None:
-                        j = len(reps)
-                        if j >= budget:
-                            raise BudgetExceeded(budget, "ball BFS")
-                        keys[key] = j
-                        reps.append(rep + (g,))
-                        length.append(dist)
-                    row.append(j)
-                rows.append(tuple(row))
+            self._renumber(lo, hi, self._resolve(lo, hi))
         except BaseException:
-            for key in list(islice(keys, hi, None)):
-                del keys[key]
-            del reps[hi:], length[hi:]
+            del self.edges[lo:], self.perm[hi:], self.sec[hi:]
+            for _, elements in self.index.values():
+                for secs in [secs for secs, v in elements.items() if v >= hi]:
+                    del elements[secs]
+            for key in [key for key, v in self.cycle_keys.items() if v >= hi]:
+                del self.cycle_keys[key]
             raise
-        self.edges += rows
-        self.bounds.append(len(reps))
+        self.bounds.append(len(self.sec))
+
+    def _resolve(self, lo: int, hi: int) -> dict:
+        """Fill in the products of layer lo..hi in (h, g) order, each after
+        the products of the layer its sections wait on (depth first, on an
+        explicit stack).  New elements get ids in the order they are found;
+        returns their BFS ids, by first product, keyed by found id."""
+        perm, sec, edges, times, gens = self.perm, self.sec, self.edges, self.times, self.gens
+        first = {}
+        for h in range(lo, hi):
+            row = edges[h]
+            for k in range(len(gens)):
+                if row[k] is None:
+                    row[k] = _PENDING
+                    stack = [(h, k)]
+                    while stack:
+                        i, j = stack[-1]
+                        products = times.get(perm[i]) or self._products(perm[i])
+                        (p, elements), follow = products[j]
+                        secs = []
+                        for s, t in zip(sec[i], follow):
+                            if t >= 0:  # the section times a generator
+                                u = edges[s][t]
+                                if u is None:  # a product of this layer, resolved first
+                                    edges[s][t] = _PENDING
+                                    stack.append((s, t))
+                                    break
+                                if u == _PENDING:  # on the stack: the product lies on a section cycle
+                                    stack.pop()
+                                    key = _bfs_key(len(self.automaton.letters), sec, perm, i)
+                                    edges[i][j] = self._identify(_times_states(self.automaton, key, (gens[j],))[0])
+                                    break
+                                s = u
+                            secs.append(s)
+                        else:
+                            stack.pop()
+                            secs = tuple(secs)
+                            u = elements.get(secs)
+                            edges[i][j] = self._add(p, elements, secs) if u is None else u
+                v = row[k]
+                if v >= hi and v not in first:
+                    first[v] = hi + len(first)
+        return first
+
+    def _products(self, p: tuple) -> tuple:
+        """``times[p]``: for each generator g, the index entry of the
+        permutation of h*g and, for each letter x, the position of g|h(x)
+        among the generators (-1 for the identity), for any h with root
+        permutation p."""
+        A = self.automaton
+        pos = {g: k for k, g in enumerate(self.gens)}
+        row = []
+        for g in self.gens:
+            q = tuple([A._out[g][y] for y in p])
+            row.append((self.index.setdefault(q, (q, {})), tuple([pos.get(A._next[g][y], -1) for y in p])))
+        row = self.times[p] = tuple(row)
+        return row
+
+    def _add(self, p: tuple, elements: dict, secs) -> int:
+        """A new element of the growing layer, numbered in the order found."""
+        v = len(self.sec)
+        if v >= self.budget:
+            raise BudgetExceeded(self.budget, "ball BFS")
+        self.perm.append(p)
+        self.sec.append(secs)
+        elements[secs] = v
+        return v
+
+    def _identify(self, key: tuple) -> int:
+        """The element with canonical key ``key``, each class of whose
+        transducer is stored or in the growing layer.  A class whose children
+        are named is named by its signature.  When every class left waits on
+        another, one on a section cycle may be stored, found by its key, and
+        name every class below it; if none is, the classes left are new."""
+        m = key[0]
+        w = 2 * m
+        kids = [key[i : i + m] for i in range(1, len(key), w)]
+        perms = [key[i + m : i + w] for i in range(1, len(key), w)]
+        ids = [None] * len(kids)
+        left = list(range(len(kids) - 1, -1, -1))  # children mostly follow their parents
+        while left:
+            waiting = []
+            for c in left:
+                secs = tuple([ids[j] for j in kids[c]])
+                if None in secs:
+                    waiting.append(c)
+                    continue
+                p, elements = self.index.setdefault(perms[c], (perms[c], {}))
+                v = elements.get(secs)
+                ids[c] = self._add(p, elements, secs) if v is None else v
+            if len(waiting) < len(left):
+                left = waiting
+                continue
+            for c in left:
+                v = self.cycle_keys.get(_bfs_key(m, kids, perms, c))
+                if v is not None:
+                    break
+            else:
+                base = len(self.sec)
+                for n, c in enumerate(left):
+                    ids[c] = base + n
+                for c in left:
+                    p, elements = self.index.setdefault(perms[c], (perms[c], {}))
+                    self._add(p, elements, tuple([ids[j] for j in kids[c]]))
+                    own = _bfs_key(m, kids, perms, c)
+                    if any(0 in own[i : i + m] for i in range(1, len(own), w)):  # c is its own section
+                        self.cycle_keys[own] = ids[c]
+                break
+            ids[c] = v
+            named = [c]
+            for d in named:  # grows while it is walked
+                for j, t in zip(kids[d], self.sec[ids[d]]):
+                    if ids[j] is None:
+                        ids[j] = t
+                        named.append(j)
+            left = [c for c in left if ids[c] is None]
+        return ids[0]
+
+    def _renumber(self, lo: int, hi: int, first: dict) -> None:
+        """Give the new layer its BFS ids and freeze its edge rows, one
+        element and one row at a time so that the old ones are freed as the
+        new ones are made."""
+        perm, sec, edges, index = self.perm, self.sec, self.edges, self.index
+        new = first.get
+        if any(v != i for v, i in first.items()):
+            found = list(zip(perm[hi:], sec[hi:]))
+            del perm[hi:], sec[hi:]
+            for p, secs in found:
+                del index[p][1][secs]
+            for v, i in first.items():
+                p, secs = found[v - hi]
+                found[v - hi] = None
+                secs = tuple([new(j, j) for j in secs])
+                index[p][1][secs] = i
+                perm.append(p)
+                sec.append(secs)
+            for key, v in self.cycle_keys.items():
+                if v >= hi:
+                    self.cycle_keys[key] = first[v]
+        for h in range(lo, hi):
+            edges[h] = tuple([new(v, v) for v in edges[h]])
 
 
 @functools.lru_cache(maxsize=16)

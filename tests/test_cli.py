@@ -326,6 +326,15 @@ def test_selftest(capsys):
     assert all(line.startswith("ok") for line in lines)
 
 
+def test_package_import_leaves_the_command_line_unloaded():
+    src = os.path.dirname(os.path.dirname(autgrp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, autgrp\nprint('argparse' in sys.modules)\nautgrp.cli_main(['classify', '--automaton', 'adding'])\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stdout.splitlines()[1].startswith("bounded")
+
+
 def test_import_and_solve_load_no_numpy():
     # numpy is for the nilpotent groups and the bench fitter; a fresh process
     # that imports the CLI and solves an automaton word never loads it
