@@ -69,8 +69,8 @@ class _ScanContext:
         pos = self.ball.gen_pos
         edges = self.ball.edges
         code = list(range(self.branches * nb))  # one int object per code, shared by every row
-        self.trans = {}
-        for s in range(len(B.states)):
+        self.trans = {} if ident is None else {ident: code}  # the identity fixes every code
+        for s in self.enum:
             row = [-1] * (self.branches * nb)
             sec_row, out_row = self.seck[s], self.outk[s]
             for x in range(self.branches):
@@ -261,18 +261,19 @@ class ContractionCertificate:
     The table maps (block, branch code) to the shortest representative of the
     block's section and the branch code it hands to the next block, so
     ``sections`` returns a segment's end branches, the solvers' permutation
-    check, with its sections.  A block's row, every branch at once, is walked
-    through the Cayley ball on first use and memoized; ``load_certificate``
-    seeds the rows with the file's, so a table loaded unchecked rewrites as
-    it reads.  Blocks holding identity letters are answered the same way,
-    but ``serialize_certificate`` writes only the identity-free blocks, so
-    solving never changes what it writes.
+    check, with its sections.  The table is the walk of the cell through the
+    Cayley ball, and nothing else: a block's row, every branch at once, is
+    walked on first use and memoized, and a loaded certificate is the one
+    ``build_certificate`` returns for the file's cell.  Blocks holding
+    identity letters are answered the same way, but ``serialize_certificate``
+    writes only the identity-free blocks, so solving never changes what it
+    writes.
 
     Mode None marks the reset-rule solver's literal table, block 1 and power
     1 over a flattened automaton, for which no mode is verified.
     """
 
-    def __init__(self, source, ctx: _ScanContext, mode: Optional[str], shrink_num: int, rows: Optional[dict] = None):
+    def __init__(self, source, ctx: _ScanContext, mode: Optional[str], shrink_num: int):
         self.source = source
         self.closure = ctx.closure
         self.automaton = ctx.automaton
@@ -281,7 +282,7 @@ class ContractionCertificate:
         self.power = ctx.power
         self.shrink_ratio = Fraction(shrink_num, ctx.block)
         self._ctx = ctx
-        self._memo = rows if rows is not None else {}
+        self._memo = {}  # block word -> row, filled as blocks are read
         self.table_reads = 0  # branches times blocks rewritten, added by solvers._drive
         self.dense_table = None  # array form, built by the first vectorized solve
 
@@ -297,7 +298,7 @@ class ContractionCertificate:
     def eager(self) -> bool:
         """Whether the identity-free table fits ``DEFAULT_TABLE_BUDGET``,
         which a serialized certificate must."""
-        return len(self._ctx.enum) ** self.block * self.branches <= DEFAULT_TABLE_BUDGET
+        return _table_fits(self.automaton, self.block, self.power)
 
     @property
     def stage_ratio(self) -> Fraction:
@@ -414,11 +415,19 @@ def best_certificate(
 
 # ---- certificate files ----
 
+def _table_fits(B: MealyAutomaton, block: int, power: int) -> bool:
+    """Whether B's identity-free table, blocks times branches, fits
+    ``DEFAULT_TABLE_BUDGET``.  Each exponent is capped where a base of 2
+    already exceeds the budget, so no huge power is computed."""
+    cap = DEFAULT_TABLE_BUDGET.bit_length()
+    n_enum = len(B.states) - (B.identity is not None)
+    return n_enum ** min(block, cap) * len(B.letters) ** min(power, cap) <= DEFAULT_TABLE_BUDGET
+
+
 def serialize_certificate(cert: ContractionCertificate) -> str:
     """Text form: header ``mode block power num/den``, then one ``sect:`` line
-    per table entry.  Words are '.'-joined state names, '-' when empty.  A
-    row the certificate holds (a loaded one, say) is written as it is; any
-    other is read off the walk and not kept."""
+    per table entry.  Words are '.'-joined state names, '-' when empty.  The
+    rows are read off the walk and not kept."""
     if not cert.eager:
         raise AutomatonFormatError("table is above the eager budget; cannot serialize")
     B = cert.automaton
@@ -427,12 +436,9 @@ def serialize_certificate(cert: ContractionCertificate) -> str:
     lines = [f"{cert.mode} {cert.block} {cert.power} {lam.numerator}/{lam.denominator}"]
     branches = [_branch_str(B, cert.power, x) for x in range(cert.branches)]
     for digits, codes in _all_blocks(ctx):
-        word = tuple(ctx.enum[d] for d in digits)
-        row = cert._memo.get(word)
-        sections = [ctx.rep_of_code(c) for c in codes] if row is None else [out for out, _ in row]
-        w = ".".join(B.states[s] for s in word)
-        for xtext, out_word in zip(branches, sections):
-            wx = ".".join(B.states[s] for s in out_word) or "-"
+        w = ".".join(B.states[ctx.enum[d]] for d in digits)
+        for xtext, c in zip(branches, codes):
+            wx = ".".join(B.states[s] for s in ctx.rep_of_code(c)) or "-"
             lines.append(f"sect: {w} {xtext} -> {wx}")
     return "\n".join(lines) + "\n"
 
@@ -454,25 +460,33 @@ def _parse_branch(B: MealyAutomaton, power: int, text: str) -> int:
     return code
 
 
-def load_certificate(text: str, A: MealyAutomaton, validate: bool = True) -> ContractionCertificate:
-    """Parse and (by default) re-verify a serialized certificate against A."""
+def load_certificate(text: str, A: MealyAutomaton) -> ContractionCertificate:
+    """Parse a serialized certificate and verify it against A.
+
+    A cell's table is its walk, so the file is checked in one pass over the
+    cell's blocks: each entry against the walk's section, and the blocks
+    themselves against the header's mode and ratio.  What loads is the
+    certificate ``build_certificate`` returns for the header's cell."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise AutomatonFormatError("empty certificate")
     mode, block, power, lam = _parse_header(lines[0])
+    if not _table_fits(inverse_closure(A).automaton, block, power):
+        raise AutomatonFormatError(f"a ({block}, {power}) table is above the eager budget; no file holds one")
 
     ctx = _ScanContext(A, block, power)
     B = ctx.automaton
+    R = ctx.branches
     six = {s: i for i, s in enumerate(B.states)}
-    rows = {}  # block word -> (section, next branch code) per branch, None until read
-    filled = 0
-    # each block text recurs once per branch, each branch text once per
-    # block: parse (and walk) every distinct token text once
-    blocks = {}  # block text -> (one walk code per branch, its row)
+    digit = {B.states[s]: d for d, s in enumerate(ctx.enum)}
+    # an entry sits at its block's place in enumeration order times R plus
+    # its branch code; each block text recurs once per branch, each branch
+    # text once per block: parse every distinct token text once
+    entries = [None] * (len(ctx.enum) ** block * R)
+    blocks = {}  # block text -> the place of its first entry
     branch_codes = {}  # branch text -> branch code
     sections = {"-": ()}  # section text -> word
-    nb, reps = ctx.ball.size, ctx.ball.reps
     for ln in lines[1:]:
         if not ln.startswith("sect:"):
             raise AutomatonFormatError(f"unexpected line {ln!r}")
@@ -480,19 +494,19 @@ def load_certificate(text: str, A: MealyAutomaton, validate: bool = True) -> Con
         if len(toks) != 4 or toks[2] != "->":
             raise AutomatonFormatError(f"expected 'sect: w x -> w_x', got {ln!r}")
         wtext, xtext, _, otext = toks
-        parsed = blocks.get(wtext)
-        if parsed is None:
+        first = blocks.get(wtext)
+        if first is None:
             wtoks = wtext.split(".")
             if any(t not in six for t in wtoks):
                 raise UnknownLetter(wtext, "block word")
-            word = tuple(six[t] for t in wtoks)
-            if len(word) != block:
+            if len(wtoks) != block:
                 raise AutomatonFormatError(f"block {wtext!r} is not {block} letters")
-            if B.identity in word:
+            if any(t not in digit for t in wtoks):
                 raise AutomatonFormatError(f"block {wtext!r} holds the identity letter")
-            row = rows[word] = [None] * ctx.branches
-            parsed = blocks[wtext] = (ctx.walk_word(word), row)
-        codes, row = parsed
+            first = 0
+            for t in wtoks:
+                first = first * len(digit) + digit[t]
+            first = blocks[wtext] = first * R
         xcode = branch_codes.get(xtext)
         if xcode is None:
             xcode = branch_codes[xtext] = _parse_branch(B, power, xtext)
@@ -502,30 +516,33 @@ def load_certificate(text: str, A: MealyAutomaton, validate: bool = True) -> Con
             if any(t not in six for t in otoks):
                 raise UnknownLetter(otext, "section word")
             out_word = sections[otext] = tuple(six[t] for t in otoks)
-        code = codes[xcode]
-        if validate and out_word != reps[code % nb]:
-            raise AutomatonFormatError(
-                f"entry for ({wtext}, {xtext}) does not match the recomputed section"
-            )
-        filled += row[xcode] is None
-        row[xcode] = (out_word, code // nb)
+        if entries[first + xcode] not in (None, out_word):
+            raise AutomatonFormatError(f"entry for ({wtext}, {xtext}) is given twice with different sections")
+        entries[first + xcode] = out_word
+    missing = entries.count(None)
+    if missing:
+        raise AutomatonFormatError(f"certificate has {len(entries) - missing} entries; expected {len(entries)}")
 
-    expected = len(ctx.enum) ** block * ctx.branches
-    if filled != expected:
-        raise AutomatonFormatError(f"certificate has {filled} entries; expected {expected}")
-    if validate:
-        # every entry equals its recomputed section, so the cell scan judges
-        # the table itself: the header must state its mode and its ratio
-        res = _scan_exhaustive(ctx, (mode,))[mode]
-        if not res.passed:
-            raise AutomatonFormatError(f"block {'.'.join(res.witness)} breaks the header's mode {mode}")
-        shrink = res.max_section if mode == "item1" else res.max_section_sum
-        if Fraction(shrink, block) != lam:
-            raise AutomatonFormatError(
-                f"header ratio {lam} does not match the table's ratio {Fraction(shrink, block)}"
-            )
-    rows = {word: tuple(row) for word, row in rows.items()}
-    return ContractionCertificate(A, ctx, mode, int(lam * block), rows)
+    reps, nb = ctx.ball.reps, ctx.ball.size
+
+    def checked_blocks():  # _all_blocks, each entry matched to the walk as its block goes by
+        at = 0
+        for digits, codes in _all_blocks(ctx):
+            for x, c in enumerate(codes):
+                if entries[at + x] != reps[c % nb]:
+                    w = ".".join(B.states[ctx.enum[d]] for d in digits)
+                    xtext = _branch_str(B, power, x)
+                    raise AutomatonFormatError(f"entry for ({w}, {xtext}) does not match the recomputed section")
+            at += R
+            yield digits, codes
+
+    res = _scan(ctx, (mode,), checked_blocks())[mode]
+    if not res.passed:
+        raise AutomatonFormatError(f"block {'.'.join(res.witness)} breaks the header's mode {mode}")
+    cert = _package(A, ctx, res)
+    if cert.shrink_ratio != lam:
+        raise AutomatonFormatError(f"header ratio {lam} does not match the table's ratio {cert.shrink_ratio}")
+    return cert
 
 
 def _parse_header(line: str) -> tuple[str, int, int, Fraction]:

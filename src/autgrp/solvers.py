@@ -205,9 +205,9 @@ def _run_stages(rw, rules: _Rules, tape: TapeLike) -> StepReport:
         if table is not None:
             letters, lens = table.parse(tape)
             if len(letters) >= _VECTOR_MIN_LETTERS:
-                return vectorized.run_stages(rw, table, letters, lens, rules)
+                return _drive(rw, vectorized._ArrayTape(table, letters, lens), rules)
     # the Python tape reads its own lists, also of a tape the table parsed
-    return _python_stages(rw, _parse_tape(rw.closure.parse, tape), rules)
+    return _drive(rw, _ListTape(_parse_tape(rw.closure.parse, tape)), rules)
 
 
 class _ListTape:
@@ -298,11 +298,6 @@ def _drive(rw, tape, rules: _Rules) -> StepReport:
         stages += 1
     detail = {**dict(rules.detail), "stage_cap": cap}
     return StepReport(rules.method, verdict, n, steps, stages, tuple(stage_tape), tuple(stage_maxseg), detail)
-
-
-def _python_stages(rw, segments: list[list[int]], rules: _Rules) -> StepReport:
-    """The stage loop on the Python tape."""
-    return _drive(rw, _ListTape(segments), rules)
 
 
 def _polynomial_cap(n: int, degree: int) -> int:

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .contraction import DEFAULT_TABLE_BUDGET, ContractionCertificate
-from .solvers import StepReport, TapeLike, _drive, _parse_tape, _Rules
+from .solvers import TapeLike, _parse_tape, _Rules
 
 # Branch maps compose through the product table of the permutation group
 # they generate; a larger group keeps its certificate on the Python tape.
@@ -288,11 +288,8 @@ class DenseTable:
 
 def _cert_table(cert: ContractionCertificate) -> Optional[DenseTable]:
     """Dense table of a certificate whose every block code over all |S|
-    states fits the table budget.  Rows the certificate has memoized, loaded
-    ones included, override the ball walk, so a table loaded without
-    validation rewrites as it reads; every other row is the walk, as
-    ``ContractionCertificate.sections`` reads it.  Next branches always
-    follow the walk, which is how every entry's next branch was made."""
+    states fits the table budget: the ball walk of every block code, as
+    ``ContractionCertificate.sections`` reads it."""
     ctx = cert._ctx
     n_states = len(cert.automaton.states)
     L, R = cert.block, cert.branches
@@ -311,18 +308,8 @@ def _cert_table(cert: ContractionCertificate) -> Optional[DenseTable]:
     used = np.flatnonzero(used)
     remap = np.zeros(nb, dtype=np.int32)
     remap[used] = np.arange(len(used))
-    row = remap[elem]
-    ball_reps = ctx.ball.reps
-    index = {ball_reps[e]: i for i, e in enumerate(used.tolist())}
-    elem_rows = elem.tolist()
-    for word, cert_row in cert._memo.items():
-        code = 0
-        for s in word:
-            code = code * n_states + s
-        for x, (rep, _) in enumerate(cert_row):
-            if rep != ball_reps[elem_rows[code][x]]:
-                row[code, x] = index.setdefault(rep, len(index))
-    return DenseTable(cert, row, cur // nb, list(index), ctx.seck, ctx.outk)
+    reps = [ctx.ball.reps[e] for e in used.tolist()]
+    return DenseTable(cert, remap[elem], cur // nb, reps, ctx.seck, ctx.outk)
 
 
 def dense_table(rw) -> Optional[DenseTable]:
@@ -395,11 +382,6 @@ class _ArrayTape:
         del code, before
         seg_len = np.concatenate(seg_lens)
         return _ArrayTape(table, np.concatenate(chunks), np.compress(seg_len > 0, seg_len))
-
-
-def run_stages(rw, table: DenseTable, letters: np.ndarray, lens: np.ndarray, rules: _Rules) -> StepReport:
-    """The stage loop on the array tape."""
-    return _drive(rw, _ArrayTape(table, letters, lens), rules)
 
 
 def _reset(out: np.ndarray, seg_len: np.ndarray, letters: np.ndarray, lens: np.ndarray):

@@ -125,14 +125,14 @@ def test_long_word_runs_on_the_kept_dense_table(monkeypatch, basilica):
     from autgrp import vectorized
 
     built, runs = [], []
-    cert_table, run_stages = vectorized._cert_table, vectorized.run_stages
+    cert_table, drive = vectorized._cert_table, solvers._drive
     monkeypatch.setattr(vectorized, "_cert_table", lambda rw: built.append(rw) or cert_table(rw))
-    monkeypatch.setattr(vectorized, "run_stages", lambda *a: runs.append(a) or run_stages(*a))
+    monkeypatch.setattr(solvers, "_drive", lambda rw, tape, rules: runs.append(type(tape)) or drive(rw, tape, rules))
     inverse_closure.cache_clear()
     w = "ab" * 128 + "BA" * 128
     first = _fields(solve_auto(basilica, w))
     again = _fields(solve_auto(basilica, w))
-    assert len(runs) == 2  # the array engine ran both times
+    assert runs == [vectorized._ArrayTape] * 2  # the array engine ran both times
     assert len(built) == 1  # on the table the first call built
     assert first == again == _fields(solve_bounded(basilica, best_certificate(basilica, 4, 2), w))
 

@@ -129,8 +129,8 @@ def test_section_ends_are_the_threaded_branches(grig, basilica, poly1, grig_cert
         "basilica item2 (1,1)": basilica_weak_cert,
         "poly1 reset rule": solvers._literal_sections(poly1),
         "basilica reset rule": solvers._literal_sections(basilica),
-        "grig unvalidated": load_certificate(serialize_certificate(grig_cert), grig, validate=False),
-        "basilica unvalidated": load_certificate(serialize_certificate(basilica_cert), basilica, validate=False),
+        "grig loaded": load_certificate(serialize_certificate(grig_cert), grig),
+        "basilica loaded": load_certificate(serialize_certificate(basilica_cert), basilica),
     }
     rng = random.Random(16)
     for name, rw in rewriters.items():
@@ -251,20 +251,36 @@ def test_serialized_tables_are_pinned(cell):
 
 
 def test_unvalidated_table_serializes_as_it_reads(grig):
-    # grigorchuk's (2, 1) table with one section edited and its lines
-    # reversed, loaded unchecked: it is written back from the file's rows,
-    # in enumeration order
+    # no table loads unchecked: grigorchuk's (2, 1) table with one section
+    # edited is refused, naming the entry, while its lines reversed load
+    # and are written back in enumeration order
     lines = serialize_certificate(build_certificate(grig, 2, 1, "item1")).splitlines()
-    edited = [ln.replace("-> c", "-> d.b") if ln.startswith("sect: a.b 0 ") else ln for ln in lines]
-    loose = load_certificate("\n".join(edited[:1] + edited[:0:-1]), grig, validate=False)
-    text = serialize_certificate(loose)
-    assert text.splitlines() == edited
-    assert _sha1(text) == "e8c130c70af3eb141d7405e5c73ecbbee6dad971"
+    for edit in ("-> d.b", "-> b"):
+        edited = [ln.replace("-> c", edit) if ln.startswith("sect: a.b 0 ") else ln for ln in lines]
+        assert edited != lines
+        with pytest.raises(AutomatonFormatError, match=r"entry for \(a\.b, 0\) does not match"):
+            load_certificate("\n".join(edited[:1] + edited[:0:-1]), grig)
+    back = load_certificate("\n".join(lines[:1] + lines[:0:-1]), grig)
+    text = serialize_certificate(back)
+    assert text.splitlines() == lines
+    assert _sha1(text) == SERIALIZED_SHA1[("grigorchuk", 2, 1, "item1")]
+
+
+def test_load_takes_a_repeated_entry_only_as_given(grig):
+    # a line given twice loads when it repeats the first, and is refused
+    # when it gives the entry another section
+    lines = serialize_certificate(build_certificate(grig, 2, 1, "item1")).splitlines()
+    entry = next(ln for ln in lines if ln.startswith("sect: a.b 0 "))
+    assert entry == "sect: a.b 0 -> c"
+    back = load_certificate("\n".join(lines + [entry]), grig)
+    assert serialize_certificate(back).splitlines() == lines
+    with pytest.raises(AutomatonFormatError, match=r"\(a\.b, 0\) is given twice"):
+        load_certificate("\n".join(lines + ["sect: a.b 0 -> b"]), grig)
 
 
 def test_serializing_keeps_no_rows(basilica, grig):
-    # rows the certificate holds are written as they are; the rest are read
-    # off the walk and not kept on the certificate
+    # rows are read off the walk and not kept on the certificate; rows a
+    # solve memoized are the walk's, so they write the same text
     cert = build_certificate(basilica, 6, 2, "item1")
     serialize_certificate(cert)
     assert cert._memo == {}
@@ -276,9 +292,9 @@ def test_serializing_keeps_no_rows(basilica, grig):
     text = serialize_certificate(cert)
     assert held and cert._memo == held
     loaded = load_certificate(text, grig)
-    held = dict(loaded._memo)
+    assert loaded._memo == {}  # a loaded certificate holds no rows either
     assert serialize_certificate(loaded) == text
-    assert loaded._memo == held and len(held) == 16
+    assert loaded._memo == {}
 
 
 def test_table_above_the_budget_is_not_serialized(grig):
@@ -316,36 +332,57 @@ def test_load_recomputes_the_header(basilica):
 def test_malformed_header_numbers(basilica, header):
     weak = build_certificate(basilica, 1, 1, "item2")
     with pytest.raises(AutomatonFormatError):
-        load_certificate(_with_header(weak, header), basilica, validate=False)
+        load_certificate(_with_header(weak, header), basilica)
 
 
-@pytest.mark.parametrize("validate", [True, False])
-def test_load_rejects_identity_in_a_block(basilica, validate):
+def test_load_rejects_identity_in_a_block(basilica):
     # the weak (1, 1) table with block a's two lines spelled with e instead
     text = serialize_certificate(build_certificate(basilica, 1, 1, "item2"))
     lines = text.splitlines()
     assert [ln for ln in lines if ln.startswith("sect: a ")] == ["sect: a 0 -> -", "sect: a 1 -> b"]
     swapped = [ln for ln in lines if not ln.startswith("sect: a ")] + ["sect: e 0 -> -", "sect: e 1 -> -"]
     with pytest.raises(AutomatonFormatError, match="identity"):
-        load_certificate("\n".join(swapped) + "\n", basilica, validate=validate)
+        load_certificate("\n".join(swapped) + "\n", basilica)
 
 
 def test_load_walks_each_block_once(basilica, monkeypatch):
+    from autgrp import contraction
     from autgrp.contraction import _ScanContext
 
     text = serialize_certificate(build_certificate(basilica, 6, 2, "item1"))
     assert len(text.splitlines()) == 1 + 4**6 * 4  # 4,096 blocks of 4 branches
-    walks = []
-    walk = _ScanContext.walk_word
+    walks, passes = [], []
+    walk, all_blocks = _ScanContext.walk_word, contraction._all_blocks
 
     def spy(self, word):
         walks.append(word)
         return walk(self, word)
 
+    def blocks(ctx):
+        passes.append(0)
+        for item in all_blocks(ctx):
+            passes[-1] += 1
+            yield item
+
     monkeypatch.setattr(_ScanContext, "walk_word", spy)
+    monkeypatch.setattr(contraction, "_all_blocks", blocks)
     back = load_certificate(text, basilica)
-    assert len(walks) <= 4096
+    assert walks == []  # the entries are checked on the cell's walk
+    assert passes == [4096]  # which goes over the cell once
+    monkeypatch.undo()
     assert serialize_certificate(back) == text
+
+
+@pytest.mark.parametrize("header", ["item1 1000000000 1 1/2", "item1 24 1 1/2"])
+def test_load_refuses_a_header_above_the_budget(grig, header):
+    # no file serialize_certificate writes exceeds DEFAULT_TABLE_BUDGET, so
+    # such a header is refused before any ball is grown for its cell
+    from autgrp import words
+
+    words.cayley_ball.cache_clear()
+    with pytest.raises(AutomatonFormatError, match="eager budget"):
+        load_certificate(f"{header}\nsect: a.a 0 -> -\n", grig)
+    assert words._ball_layers.cache_info().currsize == 0
 
 
 def test_load_parses_each_branch_text_once(basilica, monkeypatch):
@@ -360,8 +397,7 @@ def test_load_parses_each_branch_text_once(basilica, monkeypatch):
     assert serialize_certificate(back) == text
 
 
-@pytest.mark.parametrize("validate", [True, False])
-def test_load_rejects_unknown_section_letters(basilica, validate):
+def test_load_rejects_unknown_section_letters(basilica):
     from autgrp.errors import UnknownLetter
 
     lines = serialize_certificate(build_certificate(basilica, 1, 1, "item2")).splitlines()
@@ -369,7 +405,7 @@ def test_load_rejects_unknown_section_letters(basilica, validate):
     for bad in ("z", "a.z", "a..b"):
         text = "\n".join(lines[:-1] + [f"sect: B 1 -> {bad}"]) + "\n"
         with pytest.raises(UnknownLetter, match="section word"):
-            load_certificate(text, basilica, validate=validate)
+            load_certificate(text, basilica)
 
 
 # every branch's rewrite of words whose tails hold identity letters, as
