@@ -12,7 +12,9 @@ Section lengths are geodesic lengths over the inverse-closed state set,
 looked up in a Cayley ball of radius equal to the block length.  Enumeration
 runs over words without the identity letter, in the merged automaton's state
 order, and a failing check always reports the lexicographically least
-witness.
+witness.  A block's sections depend only on the element its prefix spells,
+so the exhaustive scan walks each distinct prefix once and costs about the
+ball's size, not ``|S| ** L`` blocks.
 """
 
 from __future__ import annotations
@@ -106,19 +108,6 @@ class _ScanContext:
         return code // self.ball.size
 
 
-def _leaf_eval(mode: str, block: int, lengths) -> tuple[bool, Optional[int]]:
-    """(passes, offending branch index or None)."""
-    if mode == "item1":
-        for x, l in enumerate(lengths):
-            if l >= block:
-                return False, x
-        return True, None
-    total = sum(lengths)
-    if mode == "item2":
-        return total <= block, None
-    return total < block, None
-
-
 @dataclass(frozen=True)
 class ItemCheck:
     """Outcome of one exhaustive or sampled block scan."""
@@ -191,46 +180,91 @@ def _all_blocks(ctx: _ScanContext):
         refill_from = d
 
 
-def _scan(ctx: _ScanContext, modes, blocks) -> dict:
-    """Judge every mode in ``modes`` on each block's section lengths.
-
-    A mode that fails records its ``ItemCheck`` as of the failing block and
-    drops out; the scan stops once every mode has failed.  Modes alive at the
-    end pass with the maxima over all blocks.
-    """
-    B = ctx.automaton
-    block = ctx.block
-    len_code = ctx.len_code
-    live = list(modes)
-    results = {}
-    max_sec = max_sum = words = 0
-    for digits, leaf in blocks:
-        lengths = [len_code[c] for c in leaf]
-        words += 1
-        top = max(lengths)
-        tot = sum(lengths)
+def _judge(ctx: _ScanContext, blocks, live: list, results: dict, words: int, at) -> tuple[int, int, int]:
+    """Judge ``blocks``, each given by its branch codes, in turn, the first
+    after ``words`` others: a mode of ``live`` that fails records in ``results``
+    its ``ItemCheck`` as of the failing block, the k-th, whose digits and whose
+    predecessors' maxima ``at(k)`` gives, and drops out.  Returns the blocks
+    judged, up to the last failure if none is live, and their maxima."""
+    L, length, B = ctx.block, ctx.len_code.__getitem__, ctx.automaton
+    k = max_sec = max_sum = 0
+    for k, codes in enumerate(blocks, 1):
+        lengths = list(map(length, codes))
+        top, tot = max(lengths), sum(lengths)
         if top > max_sec:
             max_sec = top
         if tot > max_sum:
             max_sum = tot
-        if tot >= block:  # below it every mode passes
-            for mode in tuple(live):
-                ok, bad_x = _leaf_eval(mode, block, lengths)
-                if not ok:
-                    word = tuple(B.states[ctx.enum[d]] for d in digits)
-                    branch = None if bad_x is None else _branch_str(B, ctx.power, bad_x)
-                    results[mode] = ItemCheck(False, mode, block, ctx.power, words, max_sec, max_sum, word, branch)
-                    live.remove(mode)
+        if tot >= L:  # below it every mode passes
+            fails = {"item1": top >= L, "item2": tot > L, "item3": True}
+            for mode in [m for m in live if fails[m]]:
+                digits, sec, sums = at(k)
+                sec, sums, word = max(sec, max_sec), max(sums, max_sum), tuple(B.states[ctx.enum[d]] for d in digits)
+                x = next(x for x, l in enumerate(lengths) if l >= L) if mode == "item1" else None
+                branch = None if x is None else _branch_str(B, ctx.power, x)
+                results[mode] = ItemCheck(False, mode, L, ctx.power, words + k, sec, sums, word, branch)
+                live.remove(mode)
             if not live:
-                return results
+                break
+    return k, max_sec, max_sum
+
+
+def _scan(ctx: _ScanContext, modes, blocks) -> dict:
+    """Judge every mode in ``modes`` on each block in turn: a mode that fails
+    records its ``ItemCheck`` as of the failing block and drops out, and the
+    scan stops once every mode has; the rest pass with the maxima of all."""
+    live, results = list(modes), {}
+    last = [None]  # the digits of the block last judged
+    leaves = (leaf for last[0], leaf in blocks)
+    words, max_sec, max_sum = _judge(ctx, leaves, live, results, 0, lambda k: (last[0], 0, 0))
     for mode in live:
-        results[mode] = ItemCheck(True, mode, block, ctx.power, words, max_sec, max_sum)
+        results[mode] = ItemCheck(True, mode, ctx.block, ctx.power, words, max_sec, max_sum)
     return results
 
 
 def _scan_exhaustive(ctx: _ScanContext, modes) -> dict:
-    """One walk over the whole cell for all ``modes`` (see ``_scan``)."""
-    return _scan(ctx, modes, _all_blocks(ctx))
+    """``_scan`` of every block, as an in-order depth-first walk of the block
+    tree.  The blocks below a node, the branch codes after a prefix, depend on
+    nothing else, so a finished node's maxima are kept per depth and a node met
+    again is folded in, not walked: the scan costs about the Cayley ball's size,
+    not ``len(enum) ** block``.  A failure ends its mode, so no fold needs one."""
+    L, n = ctx.block, len(ctx.enum)
+    if L <= 2 or n == 0:  # no prefix to share
+        return _scan(ctx, modes, _all_blocks(ctx))
+    trans = [ctx.trans[s] for s in ctx.enum]
+    live, results = list(modes), {}
+    seen = [{} for _ in range(L - 1)]  # none at depth L - 1: only leaves lie below it
+    stack = [[None, n, 0, 0], [tuple(ctx.start_codes()), 0, 0, 0]]  # codes, next digit, maxima; a base, the root
+    words = 0
+
+    def at(k):  # the digits of the k-th block two levels below the last open node's child, and every open maximum
+        return [f[1] - 1 for f in stack[1:]] + [*divmod(k - 1, n)], max(f[2] for f in stack), max(f[3] for f in stack)
+
+    while len(stack) > 1:
+        node, d = stack[-1], len(stack) - 2
+        codes, i = node[0], node[1]
+        if i == n:  # finished: keep its maxima and pass them up
+            stack.pop()
+            seen[d][codes] = (node[2], node[3])
+            stack[-1][2:] = map(max, stack[-1][2:], node[2:])
+            continue
+        node[1] = i + 1
+        child = tuple(map(trans[i].__getitem__, codes))
+        known = seen[d + 1].get(child)
+        if known is None and d + 1 < L - 2:
+            stack.append([child, 0, 0, 0])
+            continue
+        if known is None:  # two levels above the leaves: judge them
+            leaves = (map(b.__getitem__, mid) for a in trans for mid in [[a[c] for c in child]] for b in trans)
+            known = _judge(ctx, leaves, live, results, words, at)[1:]
+            if not live:  # a partial summary is never kept
+                return results
+            seen[d + 1][child] = known
+        words += n ** (L - 1 - d)
+        node[2], node[3] = max(node[2], known[0]), max(node[3], known[1])
+    for mode in live:
+        results[mode] = ItemCheck(True, mode, L, ctx.power, words, stack[0][2], stack[0][3])
+    return results
 
 
 def check_item_sampled(
@@ -315,21 +349,30 @@ class ContractionCertificate:
             self._memo[word] = row
         return row
 
-    def sections(self, seg, strip: bool) -> tuple[list[list[int]], list[int]]:
+    def sections(self, seg, strip: bool, moved: bool = True) -> Optional[tuple[list[list[int]], list[int]]]:
         """Every branch's section of one segment, and the branch code it ends
         on.  Each full block's row is read once, for all branches; the short
         tail is threaded letter by letter, its identity letters dropped when
-        ``strip`` is set."""
-        L, memo = self.block, self._memo
-        rows = []
-        for i in range(0, len(seg) - L + 1, L):
-            word = tuple(seg[i : i + L])
-            rows.append(memo.get(word) or self._row(word))  # no call on a hit: the solvers' inner loop
+        ``strip`` is set.  The ends come first: with ``moved`` off, a segment
+        that ends a branch elsewhere gets None and no section is built."""
+        L, memo, ctx = self.block, self._memo, self._ctx
+        # one iterator zipped L times: the full blocks; no call on a memo hit, the solvers' inner loop
+        rows = [memo.get(word) or self._row(word) for word in zip(*[iter(seg)] * L)]
         tail = seg[len(rows) * L :]
-        seck, outk = self._ctx.seck, self._ctx.outk
+        seck, outk, R = ctx.seck, ctx.outk, ctx.branches
+        ends = []
+        for x in range(R):
+            cur = x
+            for row in rows:
+                cur = row[cur][1]
+            for s in tail:
+                cur = outk[s][cur]
+            if cur != x and not moved:
+                return None
+            ends.append(cur)
         drop = self.automaton.identity if strip else None
-        outs, ends = [], []
-        for cur in range(self.branches):  # one list grows at a time: less heap than R at once
+        outs = []
+        for cur in range(R):  # one list grows at a time: less heap than R at once
             out = []
             for row in rows:
                 rep, cur = row[cur]
@@ -339,7 +382,6 @@ class ContractionCertificate:
                     out.append(seck[s][cur])
                 cur = outk[s][cur]
             outs.append(out)
-            ends.append(cur)
         return outs, ends
 
     def __repr__(self):

@@ -292,9 +292,8 @@ class NilpotentInstance:
             if word.ndim != 1:
                 raise AutomatonFormatError(f"integer word must be a 1-D array, not shape {word.shape}")
             out = word.astype(np.int64)
-            bad = np.flatnonzero((out < 0) | (out >= self.n_letters))
-            if len(bad):
-                raise UnknownLetter(str(word.flat[bad[0]]))
+            if len(out) and not 0 <= out.min() <= out.max() < self.n_letters:  # the first bad letter is named
+                raise UnknownLetter(str(word[np.flatnonzero((out < 0) | (out >= self.n_letters))[0]]))
             return out
         if isinstance(word, str) and word.isascii():
             out = self._byte_index[np.frombuffer(word.encode("ascii"), np.uint8)]

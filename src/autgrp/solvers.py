@@ -242,13 +242,12 @@ class _ListTape:
         when a segment's rows do not end every branch on itself."""
         strip = rules.method != "contracting"
         reset = rules.method == "polynomial"
-        fixed = list(range(rw.branches))
-        branch_tapes: list[list[list[int]]] = [[] for _ in fixed]
+        branch_tapes: list[list[list[int]]] = [[] for _ in range(rw.branches)]
         for seg in self.lists:
-            outs, ends = rw.sections(seg, strip)
-            if ends != fixed:
+            rewritten = rw.sections(seg, strip, moved=False)
+            if rewritten is None:
                 return None
-            for tape_x, out in zip(branch_tapes, outs):
+            for tape_x, out in zip(branch_tapes, rewritten[0]):
                 if out and not (reset and out == seg):
                     tape_x.append(out)
         return _ListTape([out for tape_x in branch_tapes for out in tape_x])

@@ -435,3 +435,23 @@ def test_mx_step_keeps_tail_identity_letters(name, grig_cert, basilica_cert):
     for word, sections in MX_TAILS[name].items():
         assert [mx_step(cert, x, word) for x in range(cert.branches)] == sections, word
     assert cert.table_reads == reads  # a single rewrite is no solve
+
+
+def test_a_moved_branch_gets_no_sections(grig_cert, basilica_cert, basilica_weak_cert):
+    # with moved off, the ends are threaded first and a segment that moves a
+    # branch gets None; one that moves none gets the full call's answer
+    rng = random.Random(20)
+    for rw in (grig_cert, basilica_cert, basilica_weak_cert):
+        letters = range(len(rw.automaton.states))
+        fixed = list(range(rw.branches))
+        moved = 0
+        for _ in range(100):
+            seg = rng.choices(letters, k=rng.randrange(3 * rw.block + 2))
+            for strip in (False, True):
+                outs, ends = rw.sections(seg, strip)
+                assert rw.sections(seg, strip, moved=False) == ((outs, ends) if ends == fixed else None)
+            moved += ends != fixed
+        assert 0 < moved < 100
+    a = grig_cert.automaton.states.index("a")
+    assert grig_cert.sections([a] * 3, True)[1] == [1, 0]  # a^3 = a swaps the branches
+    assert grig_cert.sections([a] * 3, True, moved=False) is None

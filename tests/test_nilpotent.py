@@ -305,3 +305,16 @@ def test_word_generators(z4, heis):
     assert len(tw) == 30
     assert heis.is_trivial(tw)
     assert solve_nilpotent(heis, tw).accepted
+
+
+def test_integer_words_name_their_first_bad_letter(z4):
+    n = z4.n_letters
+    for word, bad in (([0, n, -1], str(n)), ([0, -1, n], "-1"), ([n + 5, 1, n], str(n + 5))):
+        with pytest.raises(UnknownLetter) as err:
+            z4.parse(np.array(word))
+        assert err.value.name == bad
+    huge = np.array([1, 2**63 + 1], dtype=np.uint64)  # wraps below zero as int64
+    with pytest.raises(UnknownLetter) as err:
+        z4.parse(huge)
+    assert err.value.name == str(2**63 + 1)
+    assert len(z4.parse(np.array([], dtype=np.int64))) == 0
