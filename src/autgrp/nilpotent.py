@@ -14,9 +14,13 @@ fixed while the written word spells the preimage of the input under phi.
 
 ``steps`` counts that one-tape machine: three sweeps of all n cells per
 stage plus one write per rewritten symbol.  The simulation does not pay it:
-it keeps only the non-identity letters in tape order, folds them once per
-stage for both the coset scan and the pair rewrite, and so does O(n) array
-work per word in all, since the live letters halve each stage.
+it keeps only the non-identity letters in tape order and folds them once per
+stage, a pair at a time, for both the coset scan and the pair rewrite, and
+so does O(n) array work per word in all, since the live letters halve each
+stage.  The fold reads each pair's product a*b from one column per coordinate
+over all letter pairs, reduced mod 4 (Z^d) or mod 16 (heis): a representative
+depends only on those residues of the running product, and they depend only
+on the residues of its factors, so 1-D cumsums give every representative.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ _MAX_LETTERS = 4096
 
 class _AbelianOps:
     """Z^d with phi = multiplication by 4 and reps {0..3}^d."""
+
+    residue_mask = 3  # a representative reads each coordinate mod 4
 
     def __init__(self, name, dim, n_reps, gens):
         self.name = name
@@ -79,6 +85,13 @@ class _AbelianOps:
         """Running products g_1, g_1 g_2, ... as an (n, dim) array."""
         return np.cumsum(coords, axis=0)
 
+    def pair_reps(self, cols):
+        """rep_index of each running product, from one residue column per coordinate."""
+        idx = np.cumsum(cols[0]) & 3
+        for d in range(1, self.dim):
+            idx += (np.cumsum(cols[d]) & 3) << (2 * d)
+        return idx
+
     def seed_letters(self) -> list[tuple[int, ...]]:
         # coordinate box of radius 3; the rewrite maps it into the radius-2
         # box, so the very first verification pass goes through
@@ -91,6 +104,7 @@ class _HeisenbergOps:
     name = "heis"
     dim = 3
     n_reps = 256
+    residue_mask = 15  # x mod 16 fixes x // 4 mod 4, and z's x_before * y_pair mod 16
     gens = [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1))]
 
     def mult(self, A, B):
@@ -142,6 +156,14 @@ class _HeisenbergOps:
         out[:, 2] = np.cumsum(coords[:, 2] + x_before * coords[:, 1])
         return out
 
+    def pair_reps(self, cols):
+        """rep_index of each running product, from one residue column per coordinate."""
+        xs, ys, zs = cols
+        x = np.cumsum(xs)
+        z = np.cumsum(zs + (x - xs) * ys)
+        y = np.cumsum(ys) & 3
+        return (x & 3) + 4 * y + 16 * ((z - 4 * (x >> 2) * y) & 15)
+
     def seed_letters(self) -> list[tuple[int, ...]]:
         """The identity, the generators and their inverses."""
         seed = {(0, 0, 0)}
@@ -173,11 +195,10 @@ def _make_ops(kind: str):
 def _letter_name(ops, coords: tuple[int, ...]) -> str:
     if all(v == 0 for v in coords):
         return "e"
-    for i, (gname, gcoords) in enumerate(ops.gens):
-        unit = tuple(1 if j == i else 0 for j in range(ops.dim))
-        if coords == unit and gcoords == unit:
+    for gname, gcoords in ops.gens:
+        if coords == tuple(gcoords):
             return gname
-        if coords == tuple(-v for v in unit):
+        if coords == tuple(int(v) for v in ops.inv(np.asarray(gcoords, dtype=np.int64))):
             return gname.upper()
     parts = []
     for (gname, _), v in zip(ops.gens, coords):
@@ -219,6 +240,7 @@ class NilpotentInstance:
         "act",
         "c_tab",
         "y_tab",
+        "pair_cols",
         "_name_index",
         "_coord_index",
         "_byte_index",
@@ -262,6 +284,7 @@ class NilpotentInstance:
         self.act = None
         self.c_tab = None
         self.y_tab = None
+        self.pair_cols = None
 
     # -- word handling -------------------------------------------------
 
@@ -288,15 +311,20 @@ class NilpotentInstance:
         names, a sequence of names or indices, or an integer array; raises
         UnknownLetter for a name or index that is not a letter.
         """
+        out = self._indices(word)
+        return out.copy() if out is word else out
+
+    def _indices(self, word) -> np.ndarray:
+        """``parse`` that hands back a checked int64 array word itself, not a copy."""
         if isinstance(word, np.ndarray) and word.dtype.kind in "iu":
             if word.ndim != 1:
                 raise AutomatonFormatError(f"integer word must be a 1-D array, not shape {word.shape}")
-            out = word.astype(np.int64)
+            out = word.astype(np.int64, copy=False)
             if len(out) and not 0 <= out.min() <= out.max() < self.n_letters:  # the first bad letter is named
                 raise UnknownLetter(str(word[np.flatnonzero((out < 0) | (out >= self.n_letters))[0]]))
             return out
         if isinstance(word, str) and word.isascii():
-            out = self._byte_index[np.frombuffer(word.encode("ascii"), np.uint8)]
+            out = self._byte_index.take(np.frombuffer(word.encode("ascii"), np.uint8))
             if (out >= 0).all():
                 return out
             # whitespace, a multi-character name or a bad character
@@ -419,6 +447,9 @@ def _fill_tables(inst: NilpotentInstance) -> tuple[list[tuple[int, ...]], np.nda
             got = inst.e_index
         lut[i] = got
     inst.c_tab = lut[inverse].astype(np.int32).reshape(nN, nN, nX)
+    # a*b for every pair a nN + b, the cube under the identity, as residues
+    pairs = T[:, :, inst.rep_e].reshape(nN * nN, ops.dim) & ops.residue_mask
+    inst.pair_cols = tuple(np.ascontiguousarray(pairs[:, d]) for d in range(ops.dim))
     return missing, T
 
 
@@ -441,7 +472,7 @@ def _shared_instance(kind: str) -> NilpotentInstance:
         inst = NilpotentInstance(ops, letters)
         missing, cube = _fill_tables(inst)
         if not missing and _check_tables(inst, cube):
-            for table in (inst.act, inst.c_tab, inst.y_tab, inst.inverse_index):
+            for table in (inst.act, inst.c_tab, inst.y_tab, inst.inverse_index, *inst.pair_cols):
                 table.flags.writeable = False
             return inst
         grown = dict.fromkeys(letters)
@@ -520,27 +551,26 @@ def coset_scan(inst: NilpotentInstance, word) -> str:
     return inst.rep_name(x)
 
 
-def _coset_index(inst: NilpotentInstance, fold: np.ndarray) -> int:
-    """Index of the coset representative of the product a fold ends on."""
-    ops = inst.ops
-    return int(ops.rep_index(ops.rep_coords(fold[-1:]))[0])
+def _pair_fold(inst: NilpotentInstance, live: np.ndarray) -> tuple[int, Optional[np.ndarray]]:
+    """One stage over the non-identity letters ``live``, folded pair by pair.
 
-
-def _pair_rewrite(inst: NilpotentInstance, live: np.ndarray, fold: np.ndarray) -> np.ndarray:
-    """The c letter of every pair of one rewrite pass, in tape order.
-
-    ``live`` holds the non-identity letters of a word in the endomorphism
-    image and ``fold`` their running products.  Pair i is (live[2i],
-    live[2i+1]) read under the representative of the product before it; an
-    unpaired trailing letter is paired with a virtual identity letter.
+    Returns the coset representative index of their product and, if that is
+    the identity's, the c letter of every pair in tape order, else None.
+    Pair i is (live[2i], live[2i+1]), an odd last letter paired with e, read
+    under the representative of the product of the pairs before it; its
+    entry of the flattened c_tab is (a nN + b) nX + x.
     """
-    ops = inst.ops
-    k, odd = divmod(len(live), 2)
-    second = np.append(live[1::2], inst.e_index) if odd else live[1::2]
-    prefix = np.zeros((k + odd, ops.dim), dtype=np.int64)
-    prefix[1:] = fold[1::2][: k + odd - 1]
-    x_idx = ops.rep_index(ops.rep_coords(prefix))
-    return inst.c_tab[live[0::2], second, x_idx]
+    pair = live[0::2] * inst.n_letters
+    pair[: len(live) // 2] += live[1::2]
+    if len(live) % 2:
+        pair[-1] += inst.e_index
+    reps = inst.ops.pair_reps([col.take(pair) for col in inst.pair_cols])
+    x = int(reps[-1])
+    if x != inst.rep_e:
+        return x, None
+    pair *= inst.n_reps
+    pair[1:] += reps[:-1]
+    return x, inst.c_tab.take(pair)
 
 
 def halve(inst: NilpotentInstance, word) -> tuple[str, ...]:
@@ -549,13 +579,12 @@ def halve(inst: NilpotentInstance, word) -> tuple[str, ...]:
     idxs = inst.parse(word)
     at = np.flatnonzero(idxs != inst.e_index)
     if len(at):
-        live = idxs[at]
-        fold = inst.ops.fold(np.take(inst.coords, live, axis=0))
-        if _coset_index(inst, fold) != inst.rep_e:
+        _, c = _pair_fold(inst, idxs[at])
+        if c is None:
             raise AutomatonFormatError("word is not in the endomorphism image")
         idxs[at] = inst.e_index
         # each c letter lands on its pair's second letter, or on the lone last one
-        idxs[at[np.minimum(np.arange(1, len(at) + 1, 2), len(at) - 1)]] = _pair_rewrite(inst, live, fold)
+        idxs[at[np.minimum(np.arange(1, len(at) + 1, 2), len(at) - 1)]] = c
     return tuple(inst.letter_names[int(i)] for i in idxs)
 
 
@@ -564,41 +593,36 @@ def solve_nilpotent(inst: NilpotentInstance, word) -> StepReport:
     three scans of the full tape per stage plus one write per rewritten symbol.
 
     Only the live (non-identity) letters are simulated: each stage folds them
-    once for the coset scan and the pair rewrite, and the next stage keeps
-    the non-identity c letters.
+    once, a pair at a time, for both the coset scan and the pair rewrite (see
+    ``_pair_fold``), and the next stage keeps the non-identity c letters.  An
+    int64 array word is read in place, not copied.
     """
-    w = inst.parse(word)
-    n = len(w)
-    live = w[w != inst.e_index]
+    live = inst._indices(word)
+    n = len(live)
     steps = 0
     stages = 0
     nontrivial_per_stage = []
-    verdict = None
-    reject_coset: Optional[str] = None
+    detail = {"group": inst.name, "stage_nontrivial": nontrivial_per_stage}
     guard = 2 * int(np.ceil(np.log2(n + 2))) + 16
     while True:
+        # take, not live[mask]: boolean indexing is several times slower here
+        live = live.take(np.flatnonzero(live != inst.e_index))
         nontrivial_per_stage.append(len(live))
         steps += n
         if len(live) == 0:
             verdict = True
             break
         steps += n
-        # take, not coords[live]: row fancy indexing is several times slower
-        fold = inst.ops.fold(np.take(inst.coords, live, axis=0))
-        x = _coset_index(inst, fold)
-        if x != inst.rep_e:
+        x, c = _pair_fold(inst, live)
+        if c is None:
             verdict = False
-            reject_coset = inst.rep_name(x)
+            detail["coset"] = inst.rep_name(x)
             break
         if stages > guard:
             raise NonTermination(stages, guard)
         steps += n + len(live)  # the rewrite sweep, and 2k + odd symbols written
-        c = _pair_rewrite(inst, live, fold)
-        live = c[c != inst.e_index]
+        live = c
         stages += 1
-    detail = {"group": inst.name, "stage_nontrivial": nontrivial_per_stage}
-    if reject_coset is not None:
-        detail["coset"] = reject_coset
     return StepReport(
         "nilpotent",
         verdict,
