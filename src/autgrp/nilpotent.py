@@ -61,9 +61,9 @@ class _AbelianOps:
         return 4 * A
 
     def phi_inv(self, A):
-        if not (A % 4 == 0).all():
+        if (A & 3).any():  # A mod 4 and A // 4 as a mask and a shift, like rep_coords
             raise ClosureFailure("element is not in the endomorphism image")
-        return A // 4
+        return A >> 2
 
     def rep_coords(self, T):
         return T & 3  # T mod 4; numpy's % is several times slower than a mask
@@ -123,10 +123,10 @@ class _HeisenbergOps:
         return out
 
     def phi_inv(self, A):
-        if not ((A[..., :2] % 4 == 0).all() and (A[..., 2] % 16 == 0).all()):
+        if (A[..., :2] & 3).any() or (A[..., 2] & 15).any():
             raise ClosureFailure("element is not in the endomorphism image")
-        out = A // 4
-        out[..., 2] = A[..., 2] // 16
+        out = A >> 2
+        out[..., 2] = A[..., 2] >> 4
         return out
 
     def rep_coords(self, T):
@@ -193,6 +193,10 @@ def _make_ops(kind: str):
 
 
 def _letter_name(ops, coords: tuple[int, ...]) -> str:
+    """``e``, a generator's name, its upper case for the generator's inverse,
+    or else the letter's coordinates, each after the generator in its place:
+    ``b-1`` is coordinate -1 on b's axis, which is b^-1 only when b is a unit
+    vector."""
     if all(v == 0 for v in coords):
         return "e"
     for gname, gcoords in ops.gens:
@@ -399,67 +403,80 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], inverse
 
 
-def _product_cube(inst: NilpotentInstance) -> np.ndarray:
-    """x*a*b for every letter pair (a, b) and representative x, as an
-    (n_letters, n_letters, n_reps, dim) coordinate array."""
+def _letter_index(inst: NilpotentInstance, C: np.ndarray) -> np.ndarray:
+    """Letter index of every coordinate row of C, -1 where the row is no letter.
+
+    One int64 table spans the letter set's coordinate bounding box plus one
+    slot past its end on each axis, which holds -1.  Each coordinate, offset
+    by the box's low corner, is clamped to that slot as an unsigned value (so
+    a negative offset clamps too) before the mixed-radix key is formed: a row
+    outside the box reads -1 and can never alias a letter.
+    """
+    lo = inst.coords.min(axis=0).tolist()
+    span = (inst.coords.max(axis=0) - lo + 1).tolist()
+    table = np.full([n + 1 for n in span], -1, dtype=np.int64)
+    table[tuple((inst.coords - lo).T)] = np.arange(inst.n_letters)
+    key = np.zeros(C.shape[:-1], dtype=np.int64)
+    for d, n in enumerate(span):
+        key *= n + 1
+        key += np.minimum((C[..., d] - lo[d]).view(f"u{C.itemsize}"), n).view(C.dtype)
+    return table.reshape(-1).take(key)
+
+
+def _derive(inst: NilpotentInstance):
+    """What the tables and their check read: x*a for every letter a and
+    representative x, x*a*b for every pair (a, b), the representative Y of
+    x*a*b, the letter index of its c = phi^-1(x*a*b*Y^-1) (-1 outside the
+    set), and the sorted coordinates of the c's that are no letter.
+
+    The cubes are int32 when the letters' coordinates are small enough for
+    every product to fit, and stored coordinate-outermost (numpy keeps the
+    Fortran-order inputs' layout), so each ``[..., d]`` the ops read is one
+    contiguous block.
+    """
     ops = inst.ops
-    letters = inst.coords
-    nN, nX = inst.n_letters, ops.n_reps
-    reps = ops.rep_from_index(np.arange(nX, dtype=np.int64))
-    A = np.broadcast_to(letters[:, None, None, :], (nN, nN, nX, ops.dim))
-    B = np.broadcast_to(letters[None, :, None, :], (nN, nN, nX, ops.dim))
-    X = np.broadcast_to(reps[None, None, :, :], (nN, nN, nX, ops.dim))
-    return ops.mult(ops.mult(X.copy(), A), B)
+    dtype = np.int32 if np.abs(inst.coords).max() < 2**12 else np.int64
+    reps = np.asfortranarray(ops.rep_from_index(np.arange(ops.n_reps)), dtype=dtype)
+    letters = np.asfortranarray(inst.coords, dtype=dtype)
+    XA = ops.mult(reps[None, :, :], letters[:, None, :])
+    T = ops.mult(XA[:, None], letters[None, :, None])
+    Y = ops.rep_coords(T)
+    C = ops.phi_inv(ops.mult(T, ops.inv(Y)))
+    c_idx = _letter_index(inst, C)
+    outside = C[c_idx < 0]  # few rows: sort only those
+    missing = [tuple(map(int, row)) for row in _unique_rows(outside)[0]] if len(outside) else []
+    return XA, T, Y, c_idx, missing
 
 
-def _fill_tables(inst: NilpotentInstance) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Populate act/y_tab/c_tab from coordinates.
+def _fill_tables(inst: NilpotentInstance, derived=None) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Populate act/y_tab/c_tab/pair_cols from ``_derive(inst)``, or from
+    ``derived`` when the caller already holds it.
 
     Returns the coordinates of any produced letter that falls outside the set
     (those entries get the identity as a placeholder, which
     verify_table_closure then flags) and the x*a*b cube the tables came from.
     """
     ops = inst.ops
-    letters = inst.coords
-    nN = inst.n_letters
-    nX = ops.n_reps
-    reps = ops.rep_from_index(np.arange(nX, dtype=np.int64))
-
-    XA = ops.mult(
-        np.broadcast_to(reps[None, :, :], (nN, nX, ops.dim)).copy(),
-        np.broadcast_to(letters[:, None, :], (nN, nX, ops.dim)),
-    )
+    XA, T, Y, c_idx, missing = derived or _derive(inst)
     inst.act = ops.rep_index(ops.rep_coords(XA)).astype(np.int32).T.copy()  # (nX, nN)
-
-    T = _product_cube(inst)
-    Ycoords = ops.rep_coords(T)
-    inst.y_tab = ops.rep_index(Ycoords).astype(np.int32)
-    C = ops.phi_inv(ops.mult(T, ops.inv(Ycoords.copy())))
-    flatC = C.reshape(-1, ops.dim)
-    uniq, inverse = _unique_rows(flatC)
-    lut = np.empty(len(uniq), dtype=np.int32)
-    missing = []
-    for i, row in enumerate(uniq):
-        key = tuple(int(v) for v in row)
-        got = inst._coord_index.get(key)
-        if got is None:
-            missing.append(key)
-            got = inst.e_index
-        lut[i] = got
-    inst.c_tab = lut[inverse].astype(np.int32).reshape(nN, nN, nX)
+    inst.y_tab = ops.rep_index(Y).astype(np.int32)
+    inst.c_tab = np.where(c_idx < 0, inst.e_index, c_idx).astype(np.int32)
     # a*b for every pair a nN + b, the cube under the identity, as residues
-    pairs = T[:, :, inst.rep_e].reshape(nN * nN, ops.dim) & ops.residue_mask
-    inst.pair_cols = tuple(np.ascontiguousarray(pairs[:, d]) for d in range(ops.dim))
+    inst.pair_cols = tuple(
+        T[:, :, inst.rep_e, d].ravel().astype(np.int64) & ops.residue_mask for d in range(ops.dim)
+    )
     return missing, T
 
 
 def build_instance(kind: str) -> NilpotentInstance:
     """Construct letters, coset action, and rewrite tables for z4, z2, or heis.
 
-    Starts from the generators and grows the letter set until the rewrite
-    table closes over it, verifying each round; gives up after a bounded
-    number of rounds.  Memoized per kind, aliases included: every caller
-    shares one instance, whose tables are read-only.
+    Starts from the generators and grows the letter set until every c of the
+    rewrite table lies in it, each round finding the c's letters by a dense
+    lookup over the set's coordinate box; only the round that finds them all
+    builds the tables, and it verifies them.  Gives up after a bounded number
+    of rounds.  Memoized per kind, aliases included: every caller shares one
+    instance, whose tables are read-only.
     """
     return _shared_instance(_canonical_kind(kind))
 
@@ -470,11 +487,14 @@ def _shared_instance(kind: str) -> NilpotentInstance:
     letters = ops.seed_letters()
     for _ in range(_CLOSURE_ROUNDS):
         inst = NilpotentInstance(ops, letters)
-        missing, cube = _fill_tables(inst)
-        if not missing and _check_tables(inst, cube):
-            for table in (inst.act, inst.c_tab, inst.y_tab, inst.inverse_index, *inst.pair_cols):
-                table.flags.writeable = False
-            return inst
+        derived = _derive(inst)
+        missing = derived[-1]
+        if not missing:
+            _fill_tables(inst, derived)
+            if _check_tables(inst, derived):
+                for table in (inst.act, inst.c_tab, inst.y_tab, inst.inverse_index, *inst.pair_cols):
+                    table.flags.writeable = False
+                return inst
         grown = dict.fromkeys(letters)
         for c in missing:
             grown[c] = None
@@ -505,28 +525,26 @@ def instance_with_letters(kind: str, letter_coords) -> NilpotentInstance:
 
 def verify_table_closure(inst: NilpotentInstance) -> TableCheck:
     """Re-derive every (a, b, x) entry from coordinates and confirm the stored
-    pair satisfies phi(c)*y = x*a*b with c inside the letter set."""
-    return _check_tables(inst, _product_cube(inst))
+    pair satisfies phi(c)*y = x*a*b, with y the representative of x*a*b and c
+    inside the letter set."""
+    return _check_tables(inst, _derive(inst))
 
 
-def _check_tables(inst: NilpotentInstance, T: np.ndarray) -> TableCheck:
-    """verify_table_closure against a precomputed x*a*b cube."""
+def _check_tables(inst: NilpotentInstance, derived) -> TableCheck:
+    """verify_table_closure against ``derived``, ``_derive(inst)``: its x*a*b
+    cube T, their representatives Y and the letter index of each c; the
+    stored c and y are gathered a coordinate at a time, in T's layout."""
     ops = inst.ops
-    nN, nX = inst.n_letters, ops.n_reps
-
-    stored_c = np.take(inst.coords, inst.c_tab, axis=0)
-    stored_y = ops.rep_from_index(inst.y_tab.astype(np.int64))
-    lhs = ops.mult(ops.phi(stored_c.copy()), stored_y)
-    ok = (lhs == T).all(axis=-1)
-
-    recomputed = ops.phi_inv(ops.mult(T, ops.inv(ops.rep_coords(T).copy())))
-    flat = recomputed.reshape(-1, ops.dim)
-    uniq, inverse = _unique_rows(flat)
-    known = np.array(
-        [tuple(int(v) for v in row) in inst._coord_index for row in uniq], dtype=bool
+    _, T, Y, c_idx, _ = derived
+    reps = ops.rep_from_index(np.arange(ops.n_reps))
+    phi_c, y = (
+        np.moveaxis(table.astype(T.dtype).T.take(tab, axis=1), 0, -1)
+        for table, tab in ((ops.phi(inst.coords), inst.c_tab), (reps, inst.y_tab))
     )
-    in_set = known[inverse].reshape(nN, nN, nX)
-    good = ok & in_set
+    lhs = ops.mult(phi_c, y)
+    good = (c_idx >= 0) & (inst.y_tab == ops.rep_index(Y))
+    for d in range(ops.dim):
+        good &= lhs[..., d] == T[..., d]
     if good.all():
         return TableCheck(True, [])
     witnesses = []
@@ -585,7 +603,7 @@ def halve(inst: NilpotentInstance, word) -> tuple[str, ...]:
         idxs[at] = inst.e_index
         # each c letter lands on its pair's second letter, or on the lone last one
         idxs[at[np.minimum(np.arange(1, len(at) + 1, 2), len(at) - 1)]] = c
-    return tuple(inst.letter_names[int(i)] for i in idxs)
+    return tuple(map(inst.letter_names.__getitem__, idxs.tolist()))
 
 
 def solve_nilpotent(inst: NilpotentInstance, word) -> StepReport:
