@@ -353,26 +353,18 @@ class ContractionCertificate:
         """Every branch's section of one segment, and the branch code it ends
         on.  Each full block's row is read once, for all branches; the short
         tail is threaded letter by letter, its identity letters dropped when
-        ``strip`` is set.  The ends come first: with ``moved`` off, a segment
-        that ends a branch elsewhere gets None and no section is built."""
+        ``strip`` is set.  Each branch is threaded once, its section and end
+        together: with ``moved`` off, a segment that ends a branch elsewhere
+        gets None and no later branch's section is built."""
         L, memo, ctx = self.block, self._memo, self._ctx
         # one iterator zipped L times: the full blocks; no call on a memo hit, the solvers' inner loop
         rows = [memo.get(word) or self._row(word) for word in zip(*[iter(seg)] * L)]
         tail = seg[len(rows) * L :]
-        seck, outk, R = ctx.seck, ctx.outk, ctx.branches
-        ends = []
-        for x in range(R):
-            cur = x
-            for row in rows:
-                cur = row[cur][1]
-            for s in tail:
-                cur = outk[s][cur]
-            if cur != x and not moved:
-                return None
-            ends.append(cur)
+        seck, outk = ctx.seck, ctx.outk
         drop = self.automaton.identity if strip else None
-        outs = []
-        for cur in range(R):  # one list grows at a time: less heap than R at once
+        outs, ends = [], []
+        for x in range(ctx.branches):
+            cur = x
             out = []
             for row in rows:
                 rep, cur = row[cur]
@@ -381,7 +373,10 @@ class ContractionCertificate:
                 if seck[s][cur] != drop:
                     out.append(seck[s][cur])
                 cur = outk[s][cur]
+            if cur != x and not moved:
+                return None
             outs.append(out)
+            ends.append(cur)
         return outs, ends
 
     def __repr__(self):

@@ -192,18 +192,28 @@ def _make_ops(kind: str):
     return _HeisenbergOps()
 
 
-def _letter_name(ops, coords: tuple[int, ...]) -> str:
-    """``e``, a generator's name, its upper case for the generator's inverse,
-    or else the letter's coordinates, each after the generator in its place:
-    ``b-1`` is coordinate -1 on b's axis, which is b^-1 only when b is a unit
-    vector."""
+def _generator_names(ops) -> dict:
+    """The coordinates of each generator and of its inverse, named by the
+    generator and its upper case; the first generator in order keeps a
+    coordinate tuple two of them spell."""
+    named = {}
+    for gname, gcoords in ops.gens:
+        named.setdefault(tuple(gcoords), gname)
+        inv = ops.inv(np.asarray(gcoords, dtype=np.int64))
+        named.setdefault(tuple(int(v) for v in inv), gname.upper())
+    return named
+
+
+def _letter_name(ops, named: dict, coords: tuple[int, ...]) -> str:
+    """``e``, a generator's name, its upper case for the generator's inverse
+    (both read off ``named``, from ``_generator_names``), or else the
+    letter's coordinates, each after the generator in its place: ``b-1`` is
+    coordinate -1 on b's axis, which is b^-1 only when b is a unit vector."""
     if all(v == 0 for v in coords):
         return "e"
-    for gname, gcoords in ops.gens:
-        if coords == tuple(gcoords):
-            return gname
-        if coords == tuple(int(v) for v in ops.inv(np.asarray(gcoords, dtype=np.int64))):
-            return gname.upper()
+    name = named.get(coords)
+    if name is not None:
+        return name
     parts = []
     for (gname, _), v in zip(ops.gens, coords):
         if v:
@@ -246,6 +256,7 @@ class NilpotentInstance:
         "y_tab",
         "pair_cols",
         "_name_index",
+        "_gen_names",
         "_coord_index",
         "_byte_index",
     )
@@ -259,7 +270,8 @@ class NilpotentInstance:
         self._coord_index = {c: i for i, c in enumerate(self.letters)}
         if len(self._coord_index) != len(self.letters):
             raise AutomatonFormatError("duplicate letters")
-        self.letter_names = tuple(_letter_name(ops, c) for c in self.letters)
+        self._gen_names = _generator_names(ops)
+        self.letter_names = tuple(_letter_name(ops, self._gen_names, c) for c in self.letters)
         self._name_index = {n: i for i, n in enumerate(self.letter_names)}
         # one-character letter names by byte value, -1 for everything else
         self._byte_index = np.full(256, -1, dtype=np.int64)
@@ -306,7 +318,7 @@ class NilpotentInstance:
 
     def rep_name(self, idx: int) -> str:
         coords = self.ops.rep_from_index(np.asarray([idx], dtype=np.int64))[0]
-        return _letter_name(self.ops, tuple(int(v) for v in coords))
+        return _letter_name(self.ops, self._gen_names, tuple(int(v) for v in coords))
 
     def parse(self, word: Union[str, Sequence]) -> np.ndarray:
         """Letter indices of a word, as a new int64 array.

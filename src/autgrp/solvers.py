@@ -15,10 +15,12 @@ One driver, ``_drive``, runs the stage loop and counts every step; two
 engines supply the tape and its phases (drop the short segments, rewrite
 the rest), so they report identical counts.  The Python tape here holds one
 list per segment; the array tape of ``vectorized`` runs each phase as numpy
-passes over the whole tape.  The array engine takes certificates whose
-table is dense over every block on tapes of at least ``_VECTOR_MIN_LETTERS``
-letters; everything else, certificates above the table budget included,
-stays on the Python tape.
+passes over the whole tape.  The engine is chosen per stage: the array
+engine takes certificates whose table is dense over every block on tapes
+of at least ``_VECTOR_MIN_LETTERS`` letters, and hands the tape to the
+Python loop for the rest of the solve once a stage leaves it shorter;
+everything else, certificates above the table budget included, stays on
+the Python tape from the start.
 
 Every staged solver reads a ``ContractionCertificate``'s table.  The
 reset-rule solver without a certificate builds its own, of block 1 and
@@ -175,7 +177,8 @@ class _Rules(NamedTuple):
 # Below this many letters a stage is cheaper as Python lists than as a
 # fixed sequence of numpy calls; the two cross near 256 letters for the
 # catalog certificates.  Short words (certificate search, the CLI's
-# examples) therefore never load the array engine or build a dense table.
+# examples) therefore never load the array engine or build a dense table,
+# and a long word's stages move to the lists once its tape shrinks below.
 _VECTOR_MIN_LETTERS = 256
 
 
@@ -197,7 +200,9 @@ def _long_tape(tape: TapeLike) -> bool:
 
 def _run_stages(rw, rules: _Rules, tape: TapeLike) -> StepReport:
     """Pick the engine: the array engine for dense tables on tapes of at
-    least ``_VECTOR_MIN_LETTERS`` letters, the Python tape otherwise."""
+    least ``_VECTOR_MIN_LETTERS`` letters, until a stage leaves fewer, and
+    the Python tape otherwise.  A solve that starts on the Python tape stays
+    there, however long its tape grows."""
     if _long_tape(tape):
         from . import vectorized
 
@@ -205,7 +210,7 @@ def _run_stages(rw, rules: _Rules, tape: TapeLike) -> StepReport:
         if table is not None:
             letters, lens = table.parse(tape)
             if len(letters) >= _VECTOR_MIN_LETTERS:
-                return _drive(rw, vectorized._ArrayTape(table, letters, lens), rules)
+                return _drive(rw, vectorized._ArrayTape(table, letters, lens, hand_off=True), rules)
     # the Python tape reads its own lists, also of a tape the table parsed
     return _drive(rw, _ListTape(_parse_tape(rw.closure.parse, tape)), rules)
 
@@ -255,7 +260,8 @@ class _ListTape:
 
 def _drive(rw, tape, rules: _Rules) -> StepReport:
     """The stage loop of every staged solver, over either engine's tape: a
-    ``_ListTape`` or a ``vectorized._ArrayTape``.
+    ``_ListTape`` or a ``vectorized._ArrayTape``, which may hand the solve
+    to a ``_ListTape`` after any rewrite.
 
     Each stage charges one scan of the tape for the short-segment check,
     one of the kept letters for the branch-permutation check (folded into

@@ -15,7 +15,10 @@ int16 index arrays and data-dependent masks of a stage, subscripting was
 flags into bytes so that its sequential part runs over an eighth of them.
 
 ``solvers`` imports this module on the first tape long enough to use it,
-so short words and commands that never solve one do not load it.
+so short words and commands that never solve one do not load it.  The
+engine is chosen per stage: once a rewrite leaves fewer than
+``solvers._VECTOR_MIN_LETTERS`` letters, ``_ArrayTape.lists`` hands the
+tape to the Python loop for the rest of the solve.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from __future__ import annotations
 import ctypes
 import itertools
 import os
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .contraction import DEFAULT_TABLE_BUDGET, ContractionCertificate
-from .solvers import TapeLike, _parse_tape, _Rules
+from .solvers import _VECTOR_MIN_LETTERS, TapeLike, _ListTape, _parse_tape, _Rules
 
 # Branch maps compose through the product table of the permutation group
 # they generate; a larger group keeps its certificate on the Python tape.
@@ -222,27 +225,46 @@ class DenseTable:
 
     def units(self, letters: np.ndarray, lens: np.ndarray):
         """Unit codes and units per segment of a tape whose segments are all
-        at least a block long."""
-        L = self.block
+        at least a block long.
+
+        Block codes come from L - 1 multiply-adds of shifted letter arrays:
+        strided over the blocks of a one-segment tape, and at every letter
+        of a longer one, whose units are then picked by their start, the
+        sum of the sizes of the units before (L for a block, 1 for a tail
+        letter); only the tail units are counted per segment."""
+        L, n_states, dtype = self.block, self.n_states, self.cell_dtype
         if L == 1:
-            return letters.astype(self.cell_dtype), lens
-        starts = (np.cumsum(lens) - lens).astype(np.int32)
-        cut = lens // L * L
-        local = np.arange(len(letters), dtype=np.int32) - np.repeat(starts, lens)
-        in_block = local < np.repeat(cut, lens)
-        head = np.flatnonzero(~in_block | (local % L == 0))
-        del local
-        blk = in_block.take(head)
-        code = letters.take(head).astype(self.cell_dtype)
-        # every unit is read as a block; a tail letter's reading runs past
-        # its segment (clipped at the tape's end) and is replaced below
-        block_code = code.copy()
+            return letters.astype(dtype), lens
+        blocks = lens // L
+        tail = lens - blocks * L
+        units = blocks + tail
+        if len(lens) == 1:
+            cut = int(blocks[0]) * L
+            code = letters[0:cut:L].astype(dtype)
+            for d in range(1, L):
+                code *= n_states
+                code += letters[d:cut:L]
+            tail_code = letters[cut:].astype(dtype)
+            tail_code += self.n_codes
+            return np.concatenate((code, tail_code)), units
+        n = len(letters)
+        block_code = np.zeros(n, dtype=dtype)  # the block starting at each letter; 0 where none fits
+        head = block_code[: n - L + 1]
+        head[:] = letters[: n - L + 1]
         for d in range(1, L):
-            block_code *= self.n_states
-            block_code += letters.take(head + d, mode="clip")
-        code += self.n_codes
-        np.copyto(code, block_code, where=blk)
-        return code, lens // L + (lens - cut)
+            head *= n_states
+            head += letters[d : n - L + 1 + d]
+        last = np.cumsum(units, dtype=np.int32) - 1
+        tail_unit = np.concatenate([last.compress(tail > t) - t for t in range(L - 1)])
+        size = np.full(int(last[-1]) + 1, L, dtype=np.int32)
+        size.put(tail_unit, 1)
+        start = np.cumsum(size, dtype=np.int32)
+        start -= size
+        code = block_code.take(start)
+        tail_code = letters.take(start.take(tail_unit)).astype(dtype)
+        tail_code += self.n_codes
+        code.put(tail_unit, tail_code)
+        return code, units
 
     def branch_prefix(self, code: np.ndarray, last: np.ndarray):
         """Per unit, the id of the branch map of the units before it in its
@@ -325,19 +347,31 @@ def dense_table(rw) -> Optional[DenseTable]:
 
 class _ArrayTape:
     """The array tape: the letters of every segment in one array, and the
-    segment lengths."""
+    segment lengths.  With ``hand_off``, which only ``solvers._run_stages``
+    sets, a rewrite that leaves fewer than ``_VECTOR_MIN_LETTERS`` letters
+    returns the Python engine's tape for the rest of the solve."""
 
-    __slots__ = ("table", "array", "lens", "letters", "segments")
+    __slots__ = ("table", "array", "lens", "letters", "segments", "hand_off")
 
-    def __init__(self, table: DenseTable, array: np.ndarray, lens: np.ndarray):
+    def __init__(self, table: DenseTable, array: np.ndarray, lens: np.ndarray, hand_off: bool = False):
         self.table = table
         self.array = array
         self.lens = lens
         self.letters = len(array)
         self.segments = len(lens)
+        self.hand_off = hand_off
 
     def max_segment(self) -> int:
         return int(self.lens.max()) if self.segments else 0
+
+    def lists(self) -> _ListTape:
+        """The same tape as the Python engine's lists of letters."""
+        flat = self.array.tolist()
+        lists, start = [], 0
+        for n in self.lens.tolist():
+            lists.append(flat[start : start + n])
+            start += n
+        return _ListTape(lists)
 
     def blocks(self, L: int) -> int:
         return int((self.lens // L).sum())
@@ -352,9 +386,9 @@ class _ArrayTape:
         short = lens < L
         if not table.short_trivial(letters, lens, short):
             return None
-        return _ArrayTape(table, np.compress(np.repeat(~short, lens), letters), np.compress(~short, lens))
+        return _ArrayTape(table, np.compress(np.repeat(~short, lens), letters), np.compress(~short, lens), self.hand_off)
 
-    def rewrite(self, rw, rules: _Rules) -> Optional[_ArrayTape]:
+    def rewrite(self, rw, rules: _Rules) -> Union[_ArrayTape, _ListTape, None]:
         """One block-rewrite pass: the nonempty outputs in branch-major
         order, or None when some segment permutes a branch.  Branches are
         spelled one at a time, so temporaries stay one unit array wide."""
@@ -381,7 +415,8 @@ class _ArrayTape:
             seg_lens.append(seg_len)
         del code, before
         seg_len = np.concatenate(seg_lens)
-        return _ArrayTape(table, np.concatenate(chunks), np.compress(seg_len > 0, seg_len))
+        out = _ArrayTape(table, np.concatenate(chunks), np.compress(seg_len > 0, seg_len), self.hand_off)
+        return out.lists() if self.hand_off and out.letters < _VECTOR_MIN_LETTERS else out
 
 
 def _reset(out: np.ndarray, seg_len: np.ndarray, letters: np.ndarray, lens: np.ndarray):

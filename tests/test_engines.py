@@ -3,6 +3,8 @@
 Both engines are called directly, without the length switch of
 ``_run_stages``, on the same parsed tapes: their ``StepReport``s must agree
 in every field, and so must the table reads they add to the rewriter.
+The engine choice of ``_run_stages``, which hands a shrinking array tape
+to the Python loop, is held to the Python loop's reports at the end.
 """
 
 import itertools
@@ -270,3 +272,92 @@ def test_prefix_parity_across_byte_boundaries():
     for n in (1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000):
         flags = rng.integers(0, 2, n).astype(np.uint8)
         assert V._prefix_parity(flags).tolist() == np.bitwise_xor.accumulate(flags).tolist(), n
+
+
+def units_reference(table, letters, lens):
+    """Per segment: each full block's code, its first letter most
+    significant, then each tail letter's code."""
+    L, n = table.block, table.n_states
+    codes, units = [], []
+    start = 0
+    for length in lens.tolist():
+        seg = letters[start : start + length].tolist()
+        start += length
+        cut = length // L * L
+        for j in range(0, cut, L):
+            code = 0
+            for s in seg[j : j + L]:
+                code = code * n + s
+            codes.append(code)
+        codes += [table.n_codes + s for s in seg[cut:]]
+        units.append(length // L + length - cut)
+    return codes, units
+
+
+@pytest.mark.parametrize("cert_name", ["grig_cert", "basilica_cert", "basilica_weak_cert"])
+def test_unit_cut_matches_per_segment_reference(cert_name, request):
+    table = V.dense_table(request.getfixturevalue(cert_name))
+    L = table.block
+    rng = np.random.default_rng(11)
+    shapes = [
+        [L],  # one segment of exactly a block
+        [L] * 5,  # segments of exactly L letters
+        [L + r for r in range(L)] * 2,  # every tail residue mod L
+        [3 * L + L - 1, L, 2 * L + 1],  # a tail at the very end of the tape
+        [4 * L + 1],  # one segment ending in a tail
+    ]
+    for _ in range(40):
+        shapes.append([L * int(rng.integers(1, 12)) + int(rng.integers(0, L)) for _ in range(int(rng.integers(1, 9)))])
+    for shape in shapes:
+        lens = np.array(shape, dtype=np.int32)
+        letters = rng.integers(0, table.n_states, int(lens.sum())).astype(table.dtype)
+        code, units = table.units(letters, lens)
+        want_code, want_units = units_reference(table, letters, lens)
+        assert code.dtype == table.cell_dtype, shape
+        assert code.tolist() == want_code, shape
+        assert units.dtype == lens.dtype and units.tolist() == want_units, shape
+
+
+def test_long_solves_finish_on_the_python_tape(grig, grig_cert, monkeypatch):
+    # a trivial word whose tape shrinks under the cut: its later stages run
+    # on the lists, and the report and table reads are the Python tape's
+    rng = random.Random(7)
+    w = grig_trivial(rng, 4096)
+    sizes = []
+    drop_short = V._ArrayTape.drop_short
+
+    def spy(self, rw):
+        sizes.append(self.letters)
+        return drop_short(self, rw)
+
+    monkeypatch.setattr(V._ArrayTape, "drop_short", spy)
+    for method in ("bounded", "contracting"):
+        rw, rules = S._plan(grig, method, grig_cert)
+        want = run_engine("python", rw, rules, w)
+        sizes.clear()
+        before = rw.table_reads
+        got = S._run_stages(rw, rules, w)
+        assert (got, rw.table_reads - before) == want
+        assert got.verdict and sizes[0] == len(w)
+        assert min(sizes) >= S._VECTOR_MIN_LETTERS
+        assert len(sizes) < got.stages  # some stages ran on the lists
+        # the pure array engine still runs every stage on its own tape
+        sizes.clear()
+        assert run_engine("vector", rw, rules, w) == want
+        assert len(sizes) == got.stages and min(sizes) < S._VECTOR_MIN_LETTERS
+
+
+def test_a_short_tape_that_grows_stays_off_numpy():
+    # the handoff goes one way: a poly1 tape that starts under the cut and
+    # grows past it stays on the lists, so numpy is never loaded
+    src = os.path.dirname(os.path.dirname(autgrp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import sys\n"
+        "from autgrp import catalog, solve_polynomial\n"
+        "from autgrp.solvers import _VECTOR_MIN_LETTERS\n"
+        "rep = solve_polynomial(catalog.get('poly1'), 1, 'babA' * 60)\n"
+        "print(rep.stage_tape[0] < _VECTOR_MIN_LETTERS < max(rep.stage_tape), 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True", "False"]
