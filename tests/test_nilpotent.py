@@ -197,6 +197,20 @@ def test_coset_scan_matches_direct_arithmetic(z4, heis):
             assert coset_scan(inst, w) == want
 
 
+def test_coset_scan_of_long_words(z4, z2, heis):
+    # about 2^14 letters, identity letters among them, against the closed form
+    rng = random.Random(14)
+    for inst in (z4, z2, heis):
+        ops = inst.ops
+        for _ in range(3):
+            w = random_word(inst, 2**14 + rng.randint(0, 9), rng)
+            total = np.asarray([inst.word_value(w)], dtype=np.int64)
+            want = inst.rep_name(int(ops.rep_index(ops.rep_coords(total))[0]))
+            assert coset_scan(inst, w) == want
+        w = random_trivial_word(inst, 2**14, rng)
+        assert coset_scan(inst, w) == coset_scan(inst, inst.parse(w)) == "e"
+
+
 def test_heisenberg_values_do_not_commute(heis):
     assert heis.word_value("ab") == (1, 1, 1)
     assert heis.word_value("ba") == (1, 1, 0)

@@ -1,9 +1,11 @@
 """The pair fold of the halving solver against the full-tape reference.
 
-``solve_nilpotent`` and ``halve`` read each pair's product from one residue
-column per coordinate (mod 4 for Z^d, mod 16 for heis) and fold the pairs by
-1-D cumsums.  These words push the running products far outside that window,
-keep an odd live count at every stage, or are as short as a tape gets.
+``solve_nilpotent`` and ``halve`` read each pair's product from one uint8
+residue column per coordinate (mod 4 for Z^d, mod 16 for heis) and fold the
+pairs by 1-D prefix sums in bytes, packed eight to a word on long stages;
+``solve_nilpotent`` folds short stages as a Python list.  These words push
+the running products far outside that window and past 255, keep an odd live
+count at every stage, sit at either size cut, or are as short as a tape gets.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from autgrp import NilpotentInstance, halve, solve_nilpotent
+from autgrp import NilpotentInstance, halve, nilpotent, solve_nilpotent
 from autgrp.errors import AutomatonFormatError
 from autgrp.nilpotent import _AbelianOps
 from test_halving_reference import reference_halve_inplace, reference_solve
@@ -179,7 +181,7 @@ def test_pair_columns_are_read_only_residues(z4, z2, heis):
         )
         assert len(inst.pair_cols) == inst.ops.dim
         for d, col in enumerate(inst.pair_cols):
-            assert col.dtype == np.int64 and col.flags.c_contiguous and len(col) == nN * nN
+            assert col.dtype == np.uint8 and col.flags.c_contiguous and len(col) == nN * nN
             assert (col == products[:, d] & mask).all()
             with pytest.raises(ValueError):
                 col[0] = 0
@@ -200,3 +202,104 @@ def test_letters_named_by_generator_coordinates():
     assert inst.word_value("B") == (-1, -1)
     assert inst.word_value("abAB") == (0, 0)
     assert names[(0, -1)] not in ("B", "b")
+
+
+def test_packed_scan_equals_the_byte_cumsum():
+    rng = np.random.default_rng(15)
+    for n in [*range(81), 2**15 + 3]:
+        for v in (rng.integers(0, 16, n, dtype=np.uint8), np.full(n, 15, dtype=np.uint8)):
+            want = np.cumsum(v, dtype=np.uint8) & 15
+            got = nilpotent._packed_prefix(v)
+            assert got.dtype == np.uint8 and (got == want).all(), n
+            assert (nilpotent._prefix_sum(v) & 15 == want).all(), n
+
+
+def test_running_sums_wrap_the_byte_on_every_axis(z4, z2, heis):
+    m = 300  # heis: a^m b^m A^m B^m = c^(m^2)
+    cases = [
+        (z4, "a" * 40000, "A" * 40000),
+        (z2, "ab" * 30000, "BA" * 30000),
+        (heis, "a" * m + "b" * m, "A" * m + "B" * m + "C" * m**2),
+    ]
+    for inst, head, tail in cases:
+        runs = inst.ops.fold(np.take(inst.coords, inst.parse(head), axis=0))
+        assert (runs.max(axis=0) > 255).all()
+        assert _same_as_reference(inst, head + tail).accepted
+        # one letter short is off the image; 16 short is in it, off its preimage
+        for cut, in_image in ((1, False), (16, True)):
+            rep = _same_as_reference(inst, head + tail[:-cut])
+            assert not rep.accepted and (rep.stages > 0) == in_image
+
+
+# relator pieces of two letters and of an odd length, so any live count is spelt
+PIECES = {
+    "z4": (["a", "A"], ["a", "a", "a-2"]),
+    "z2": (["b", "B"], ["a", "a", "a-2"]),
+    "heis": (["a", "A"], list("ABabC")),
+}
+
+
+def _trivial_with_live(inst, n, rng):
+    """A trivial word of exactly n non-identity letters: conjugates of
+    relator pieces by random words, finished by pieces, with identity letters
+    among them."""
+    two, odd = PIECES[inst.name]
+    gens = GENS[inst.name].replace("e", "")
+    names = []
+    while True:
+        u = rng.choices(gens, k=rng.randint(0, 6))
+        part = u + rng.choice((two, odd)) + [g.swapcase() for g in reversed(u)]
+        if len(names) + len(part) > n - 8:
+            break
+        names += part
+    rest = n - len(names)
+    if rest % 2:
+        names += odd
+        rest -= len(odd)
+    names += two * (rest // 2)
+    out = []
+    for name in names:
+        out += ["e"] * (rng.random() < 0.2) + [name]
+    return inst.parse(out)
+
+
+def _spy(monkeypatch, name, lengths):
+    """Record the length of the last argument of every call to ``name``."""
+    real = getattr(nilpotent, name)
+
+    def spy(*args):
+        lengths.append(len(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(nilpotent, name, spy)
+
+
+def test_live_counts_cross_both_cuts(z4, z2, heis, monkeypatch):
+    # the list finish takes the first stage under _LIST_MAX live letters and
+    # every one after it; the packed scan takes folds of at least _PACKED_MIN
+    # pairs, from 2 _PACKED_MIN - 1 live letters; first stages of counts on
+    # both sides of each cut, odd ones at the crossing, trivial and rejected
+    folds, lists, packed = [], [], []
+    _spy(monkeypatch, "_pair_fold", folds)
+    _spy(monkeypatch, "_list_fold", lists)
+    _spy(monkeypatch, "_packed_prefix", packed)
+    rng = random.Random(16)
+    cut, wide = nilpotent._LIST_MAX, 2 * nilpotent._PACKED_MIN - 1
+    for inst in (z4, z2, heis):
+        a = inst.gen_index["a"]
+        for n in [*range(cut - 2, cut + 3), *range(wide - 2, wide + 3)]:
+            trivial = _trivial_with_live(inst, n, rng)
+            off_image = np.append(_trivial_with_live(inst, n - 1, rng), a)
+            in_image = np.append(_trivial_with_live(inst, n - 4, rng), [a] * 4)
+            for word in (trivial, off_image, in_image):
+                for seen in (folds, lists, packed):
+                    seen.clear()
+                rep = solve_nilpotent(inst, word)
+                counts = rep.detail["stage_nontrivial"]
+                assert counts[0] == n and rep.accepted == (word is trivial)
+                assert folds + lists == counts[: len(counts) - rep.accepted]
+                assert min(folds, default=cut) >= cut > max(lists, default=0)
+                pairs = [(k + 1) // 2 for k in folds]
+                words = [-(-k // 8) * 8 for k in pairs if k >= nilpotent._PACKED_MIN]
+                assert packed == [m for m in words for _ in range(inst.ops.dim)]
+                assert _same_as_reference(inst, word).to_dict() == rep.to_dict()
