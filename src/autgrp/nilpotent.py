@@ -12,8 +12,10 @@ The rewrite pass carries the coset representative left to right: writing e
 over the first letter of a pair and c over the second keeps the tape length
 fixed while the written word spells the preimage of the input under phi.
 
-``steps`` counts that one-tape machine: three sweeps of all n cells per
-stage plus one write per rewritten symbol.  The simulation does not pay it:
+``steps`` counts that one-tape machine, one ``StageRecord`` per stage with
+three phases, each a sweep of all n cells: the identity sweep, which finds
+whether any letter is not e; the coset scan; and the rewrite sweep, which
+also charges one write per rewritten symbol.  The simulation does not pay it:
 it keeps only the non-identity letters in tape order and folds them once per
 stage, a pair at a time, for both the coset scan and the pair rewrite, and
 so does O(n) array work per word in all, since the live letters halve each
@@ -35,14 +37,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import AutomatonFormatError, ClosureFailure, NonTermination, UnknownLetter
-from .solvers import StepReport
+from .solvers import StageRecord, StepReport
 
 _CLOSURE_ROUNDS = 12
 _MAX_LETTERS = 4096
@@ -476,26 +477,6 @@ class NilpotentInstance:
         return all(v == 0 for v in self.word_value(word))
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0, return_inverse=True)`` for integer rows.
-
-    Each row becomes one int64 key: its coordinates, offset by their column
-    minimum, read as digits in mixed radix with the first column most
-    significant.  Sorting the keys sorts the rows lexicographically, so the
-    result is the same as the row-wise unique, without its slow sort.
-    """
-    lo = rows.min(axis=0)
-    radix = [int(r) for r in rows.max(axis=0) - lo + 1]
-    if math.prod(radix) >= 2**63:  # keys would overflow int64
-        return np.unique(rows, axis=0, return_inverse=True)
-    key = np.zeros(len(rows), dtype=np.int64)
-    for d, r in enumerate(radix):
-        key *= r
-        key += rows[:, d] - lo[d]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return rows[first], inverse
-
-
 def _letter_index(inst: NilpotentInstance, C: np.ndarray) -> np.ndarray:
     """Letter index of every coordinate row of C, -1 where the row is no letter.
 
@@ -536,8 +517,7 @@ def _derive(inst: NilpotentInstance):
     Y = ops.rep_coords(T)
     C = ops.phi_inv(ops.mult(T, ops.inv(Y)))
     c_idx = _letter_index(inst, C)
-    outside = C[c_idx < 0]  # few rows: sort only those
-    missing = [tuple(map(int, row)) for row in _unique_rows(outside)[0]] if len(outside) else []
+    missing = sorted(set(map(tuple, C[c_idx < 0].tolist())))  # few rows: sort only those
     return XA, T, Y, c_idx, missing
 
 
@@ -729,8 +709,9 @@ def halve(inst: NilpotentInstance, word) -> tuple[str, ...]:
 
 
 def solve_nilpotent(inst: NilpotentInstance, word) -> StepReport:
-    """Decide triviality by repeated halving, counting tape-machine steps:
-    three scans of the full tape per stage plus one write per rewritten symbol.
+    """Decide triviality by repeated halving, counting tape-machine steps in
+    one ``StageRecord`` per stage: three scans of the full tape plus one
+    write per rewritten symbol.
 
     Only the live (non-identity) letters are simulated: each stage folds them
     once, a pair at a time, for both the coset scan and the pair rewrite (see
@@ -741,10 +722,8 @@ def solve_nilpotent(inst: NilpotentInstance, word) -> StepReport:
     """
     live = inst._indices(word)
     n = len(live)
-    steps = 0
-    stages = 0
-    nontrivial_per_stage = []
-    detail = {"group": inst.name, "stage_nontrivial": nontrivial_per_stage}
+    ledger = []
+    detail = {"group": inst.name, "stage_nontrivial": []}
     guard = 2 * int(np.ceil(np.log2(n + 2))) + 16
     fold = _pair_fold
     while True:
@@ -753,32 +732,22 @@ def solve_nilpotent(inst: NilpotentInstance, word) -> StepReport:
             live = live.take(np.flatnonzero(live != inst.e_index))
             if len(live) < _LIST_MAX:
                 live, fold = live.tolist(), _list_fold
-        nontrivial_per_stage.append(len(live))
-        steps += n
+        detail["stage_nontrivial"].append(len(live))
         if len(live) == 0:
+            ledger.append(StageRecord(n, n, (n,)))
             verdict = True
             break
-        steps += n
         x, c = fold(inst, live)
         if c is None:
+            ledger.append(StageRecord(n, n, (n, n)))
             verdict = False
             detail["coset"] = inst.rep_name(x)
             break
-        if stages > guard:
-            raise NonTermination(stages, guard)
-        steps += n + len(live)  # the rewrite sweep, and 2k + odd symbols written
+        if len(ledger) > guard:
+            raise NonTermination(len(ledger), guard)
+        ledger.append(StageRecord(n, n, (n, n, n + len(live))))  # the rewrite sweep, and 2k + odd symbols written
         live = c
-        stages += 1
-    return StepReport(
-        "nilpotent",
-        verdict,
-        n,
-        steps,
-        stages,
-        (n,) * len(nontrivial_per_stage),
-        (n,) * len(nontrivial_per_stage),
-        detail,
-    )
+    return StepReport.of("nilpotent", verdict, n, ledger, detail)
 
 
 def random_word(inst: NilpotentInstance, length: int, rng) -> str:

@@ -47,6 +47,25 @@ from .errors import (
 from .words import DEFAULT_ORACLE_BUDGET, _closure_walk
 
 
+class StageRecord(NamedTuple):
+    """One pass of a stage loop: the tape entering it (letters plus
+    separators), its longest segment, the steps of each phase it ran, in
+    order, and the table reads of its rewrite.
+
+    A staged pass's phases are the short-segment check, the
+    branch-permutation check (0 where the first scan holds it), the block
+    rewrite and the copy-back; a halving pass's are the identity sweep, the
+    coset scan, and the rewrite sweep with its writes; the oracle's one
+    record has one phase, its closure walks.  A pass that ends the solve
+    lists only the phases it ran.
+    """
+
+    tape: int
+    max_segment: int
+    phases: tuple[int, ...] = ()
+    table_reads: int = 0
+
+
 @dataclass
 class StepReport:
     """Outcome and cost of one solver run.
@@ -54,7 +73,10 @@ class StepReport:
     ``stage_tape`` holds the tape length (letters plus separators) entering
     each pass of the main loop, so ``stage_tape[0]`` is the input length with
     separators and the list may end with 0 on acceptance.  ``stages`` counts
-    rewrite passes actually executed.
+    rewrite passes actually executed, so ``stages == len(stage_tape) - 1``
+    for every solver.  Every solver builds its report with ``of`` from its
+    ``ledger``, one ``StageRecord`` per pass, and ``steps`` is the sum of
+    the ledger's phase steps; the ledger stays out of ``to_dict``.
     """
 
     method: str
@@ -65,6 +87,14 @@ class StepReport:
     stage_tape: tuple[int, ...]
     stage_max_segment: tuple[int, ...]
     detail: dict = field(default_factory=dict)
+    ledger: tuple[StageRecord, ...] = ()
+
+    @classmethod
+    def of(cls, method: str, verdict: bool, input_length: int, ledger: list, detail: dict) -> StepReport:
+        """The report whose counts are read off ``ledger``."""
+        tapes, longest, phases, _ = zip(*ledger)
+        steps = sum(map(sum, phases))
+        return cls(method, verdict, input_length, steps, len(ledger) - 1, tapes, longest, detail, tuple(ledger))
 
     @property
     def accepted(self) -> bool:
@@ -263,46 +293,43 @@ def _drive(rw, tape, rules: _Rules) -> StepReport:
     ``_ListTape`` or a ``vectorized._ArrayTape``, which may hand the solve
     to a ``_ListTape`` after any rewrite.
 
-    Each stage charges one scan of the tape for the short-segment check,
+    Each pass appends one ``StageRecord`` to the ledger the report is read
+    off.  Its phases charge one scan of the tape for the short-segment check,
     one of the kept letters for the branch-permutation check (folded into
     the first scan for a table without a mode, the reset rule's literal
     one), one more for reading the blocks, one per output letter and per
     (segment, branch) written, and two per letter and separator copied back.
     The charges model the tape machine, not the simulation, whose engines
-    read that check off the rewrite.  A rewrite also adds one table read per
-    full block and branch to the rewriter's ``table_reads``."""
+    read that check off the rewrite.  A rewrite also reads one table row per
+    full block and branch, which its record adds to the rewriter's
+    ``table_reads``."""
     n = tape.letters
     cap = rules.cap(n)
-    steps = 0
-    stages = 0
-    stage_tape = []
-    stage_maxseg = []
+    ledger = []
     while True:
-        total = tape.letters + max(0, tape.segments - 1)
-        stage_tape.append(total)
-        stage_maxseg.append(tape.max_segment())
+        total, longest = tape.letters + max(0, tape.segments - 1), tape.max_segment()
         if not tape.segments:
+            ledger.append(StageRecord(total, longest))
             verdict = True
             break
-        if stages > cap:
-            raise (StageGuardExceeded if rules.method == "polynomial" else NonTermination)(stages, cap)
-        steps += total
+        if len(ledger) > cap:
+            raise (StageGuardExceeded if rules.method == "polynomial" else NonTermination)(len(ledger), cap)
         tape = tape.drop_short(rw)
         if tape is None or not tape.segments:
+            ledger.append(StageRecord(total, longest, (total,)))
             verdict = tape is not None  # or every segment was short and trivial
             break
         kept, segments, blocks = tape.letters, tape.segments, tape.blocks(rw.block)
-        if rw.mode is not None:
-            steps += kept
+        check = kept if rw.mode is not None else 0
         tape = tape.rewrite(rw, rules)
         if tape is None:
+            ledger.append(StageRecord(total, longest, (total, check)))
             verdict = False
             break
-        steps += kept + rw.branches * segments + 3 * tape.letters + 2 * tape.segments
-        rw.table_reads += rw.branches * blocks
-        stages += 1
-    detail = {**dict(rules.detail), "stage_cap": cap}
-    return StepReport(rules.method, verdict, n, steps, stages, tuple(stage_tape), tuple(stage_maxseg), detail)
+        rewrite, copy = kept + rw.branches * segments + tape.letters, 2 * (tape.letters + tape.segments)
+        ledger.append(StageRecord(total, longest, (total, check, rewrite, copy), rw.branches * blocks))
+        rw.table_reads += ledger[-1].table_reads
+    return StepReport.of(rules.method, verdict, n, ledger, {**dict(rules.detail), "stage_cap": cap})
 
 
 def _polynomial_cap(n: int, degree: int) -> int:
@@ -395,18 +422,19 @@ def solve_oracle(A: MealyAutomaton, tape: TapeLike, budget: int = DEFAULT_ORACLE
     when a segment's closure would grow past ``budget`` words."""
     ic = inverse_closure(A)
     B = ic.automaton
-    segments = _parse_tape(ic.parse, tape)
-    n = sum(len(s) for s in segments)
+    tape = _ListTape(_parse_tape(ic.parse, tape))
     m = len(B.letters)
     steps = 0
     verdict = True
-    for seg in segments:
+    for seg in tape.lists:
         words, bad = _closure_walk(B, tuple(seg), budget)
         steps += m * len(seg) * (len(words) if bad is None else bad + 1)
         if bad is not None:
             verdict = False
             break
-    return StepReport("oracle", verdict, n, steps, 0, (n,), (max((len(s) for s in segments), default=0),), {})
+    # one pass over the tape _drive's first pass reads, letters plus separators
+    record = StageRecord(tape.letters + max(0, tape.segments - 1), tape.max_segment(), (steps,))
+    return StepReport.of("oracle", verdict, tape.letters, [record], {})
 
 
 def _auto_plan(A: MealyAutomaton, search_block: int, search_power: int) -> Callable:

@@ -19,7 +19,6 @@ from autgrp import (
     verify_table_closure,
 )
 from autgrp.errors import AutgrpError, UnknownLetter
-from autgrp.nilpotent import _unique_rows
 
 
 Z4_LETTERS = [(j,) for j in range(-3, 4)]
@@ -85,17 +84,6 @@ def test_tables_frozen(z4, z2, heis):
         got = tuple(hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays)
         assert got == TABLE_SHA1[inst.name]
         assert inst.coords.dtype == np.int64 and (inst.coords == arrays[0]).all()
-
-
-def test_unique_rows_matches_numpy():
-    rng = np.random.default_rng(11)
-    cases = [rng.integers(-9, 10, size=(n, d)) for n, d in ((1, 1), (500, 1), (3000, 2), (5000, 3))]
-    cases.append(rng.integers(-(2**40), 2**40, size=(200, 3)))  # keys past int64
-    for rows in cases:
-        uniq, inverse = _unique_rows(rows)
-        want_uniq, want_inverse = np.unique(rows, axis=0, return_inverse=True)
-        assert (uniq == want_uniq).all()
-        assert (inverse.reshape(-1) == want_inverse.reshape(-1)).all()
 
 
 def test_letters_closed_under_inversion(z4):
