@@ -196,9 +196,15 @@ def _cmd_solve(args) -> int:
     if args.group is not None:
         if args.method not in ("nilpotent", "auto"):
             raise UsageError(f"--group only supports --method nilpotent, not {args.method}")
-        from .nilpotent import build_instance, solve_nilpotent
+        from .halving import solve_short
 
-        rep = solve_nilpotent(build_instance(args.group), word)
+        # a short word of one-character letters is solved on coordinates,
+        # without numpy or the tables; any other goes to the instance's parser
+        rep = solve_short(args.group, word)
+        if rep is None:
+            from .nilpotent import build_instance, solve_nilpotent
+
+            rep = solve_nilpotent(build_instance(args.group), word)
     else:
         A = catalog.load(args.automaton)
         method = args.method

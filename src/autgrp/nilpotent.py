@@ -15,22 +15,24 @@ fixed while the written word spells the preimage of the input under phi.
 ``steps`` counts that one-tape machine, one ``StageRecord`` per stage with
 three phases, each a sweep of all n cells: the identity sweep, which finds
 whether any letter is not e; the coset scan; and the rewrite sweep, which
-also charges one write per rewritten symbol.  The simulation does not pay it:
-it keeps only the non-identity letters in tape order and folds them once per
-stage, a pair at a time, for both the coset scan and the pair rewrite, and
-so does O(n) array work per word in all, since the live letters halve each
-stage.  The fold reads each pair's product a*b from one uint8 column per
-coordinate over all letter pairs, reduced mod 4 (Z^d) or mod 16 (heis): a
+also charges one write per rewritten symbol.  ``halving.run_stages`` is the
+stage loop that keeps that count.  The simulation does not pay it: it keeps
+only the non-identity letters in tape order and folds them once per stage, a
+pair at a time, for both the coset scan and the pair rewrite, and so does
+O(n) array work per word in all, since the live letters halve each stage.
+The fold reads each pair's product a*b from one uint8 column per coordinate
+over all letter pairs, reduced mod 4 (Z^d) or mod 16 (heis): a
 representative depends only on those residues of the running product, and
 they depend only on the residues of its factors, so 1-D prefix sums give
-every representative.  The sums run in uint8, which wraps mod 256, a
-multiple of 16, so every residue a representative reads stays exact.  From
-``_PACKED_MIN`` = 2,048 pairs up, where the two broke even, they run on
-packed bytes, eight residues to a 64-bit word, and below that as a byte
-cumsum.  A stage under ``_LIST_MAX`` = 128 live letters, and every later
-one, folds a Python list instead: there a pair loop costs less than a
-stage's fixed numpy calls (the halving corpus timed the same with the cut
-at 64 and 256).
+every representative, and it reads each c letter from ``c_tab``.  The sums
+run in uint8, which wraps mod 256, a multiple of 16, so every residue a
+representative reads stays exact.  From ``_PACKED_MIN`` = 2,048 pairs up,
+where the two broke even, they run on packed bytes, eight residues to a
+64-bit word, and below that as a byte cumsum.  A stage under ``_LIST_MAX`` =
+128 live letters, and every later one, reads no table: it folds the letters'
+coordinate tuples in Python through the group law's memoized transitions
+(``halving._list_fold``), where a pair loop costs less than a stage's fixed
+numpy calls.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import AutomatonFormatError, ClosureFailure, NonTermination, UnknownLetter
-from .solvers import StageRecord, StepReport
+from .errors import AutomatonFormatError, ClosureFailure, UnknownLetter
+from .halving import _LIST_MAX, _AbelianLaw, _HeisenbergLaw, _list_fold, _make_law, run_stages
+from .solvers import StepReport
 
 _CLOSURE_ROUNDS = 12
 _MAX_LETTERS = 4096
@@ -53,13 +56,6 @@ _MAX_LETTERS = 4096
 # values (6.1 and 6.2 us); the packed scan took 5.4 against 1.3 us at 256 and
 # 22 against 88 us at 32,768.
 _PACKED_MIN = 2048
-# A stage with fewer live letters, and every stage after it, runs as a
-# Python pair loop (``_list_fold``), which undercuts a stage's fixed numpy
-# calls.  Compaction and fold on the same host: heis 33.5 us as arrays
-# against 20.6 us as a list at 128 letters, 35 against 39 at 256; z4 12.4
-# against 10.3 at 128.  The halving corpus timed the same with the cut at
-# 64, 128 and 256.
-_LIST_MAX = 128
 _BYTE_ONES = np.uint64(0x0101010101010101)
 _LOW_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
 
@@ -98,16 +94,8 @@ def _prefix_sum(v: np.ndarray) -> np.ndarray:
     return _packed_prefix(v)
 
 
-class _AbelianOps:
-    """Z^d with phi = multiplication by 4 and reps {0..3}^d."""
-
-    residue_mask = 3  # a representative reads each coordinate mod 4
-
-    def __init__(self, name, dim, n_reps, gens):
-        self.name = name
-        self.dim = dim
-        self.n_reps = n_reps
-        self.gens = gens  # ordered [(name, coords), ...] of input generators
+class _AbelianOps(_AbelianLaw):
+    """The Z^d law on arrays of coordinate rows, ``[..., d]`` coordinate d."""
 
     def mult(self, A, B):
         return A + B
@@ -165,14 +153,8 @@ class _AbelianOps:
         return list(itertools.product(range(-3, 4), repeat=self.dim))
 
 
-class _HeisenbergOps:
-    """Integer Heisenberg group, (x1,y1,z1)(x2,y2,z2) = (x1+x2, y1+y2, z1+z2+x1*y2)."""
-
-    name = "heis"
-    dim = 3
-    n_reps = 256
-    residue_mask = 15  # x mod 16 fixes x // 4 mod 4, and z's x_before * y_pair mod 16
-    gens = [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1))]
+class _HeisenbergOps(_HeisenbergLaw):
+    """The Heisenberg law on arrays of coordinate rows, ``[..., d]`` coordinate d."""
 
     def mult(self, A, B):
         out = A + B
@@ -248,10 +230,9 @@ class _HeisenbergOps:
 
     def seed_letters(self) -> list[tuple[int, ...]]:
         """The identity, the generators and their inverses."""
-        seed = {(0, 0, 0)}
-        for _, gcoords in self.gens:
-            seed.add(gcoords)
-            seed.add(tuple(int(v) for v in self.inv(np.asarray([gcoords], dtype=np.int64))[0]))
+        seed = {self.identity}
+        for _, g in self.gens:
+            seed.update((g, self.inverse(g)))
         return sorted(seed)
 
 
@@ -266,41 +247,7 @@ def _canonical_kind(kind: str) -> str:
 
 
 def _make_ops(kind: str):
-    key = _canonical_kind(kind)
-    if key == "z4":
-        return _AbelianOps("z4", 1, 4, [("a", (1,))])
-    if key == "z2":
-        return _AbelianOps("z2", 2, 16, [("a", (1, 0)), ("b", (0, 1))])
-    return _HeisenbergOps()
-
-
-def _generator_names(ops) -> dict:
-    """The coordinates of each generator and of its inverse, named by the
-    generator and its upper case; the first generator in order keeps a
-    coordinate tuple two of them spell."""
-    named = {}
-    for gname, gcoords in ops.gens:
-        named.setdefault(tuple(gcoords), gname)
-        inv = ops.inv(np.asarray(gcoords, dtype=np.int64))
-        named.setdefault(tuple(int(v) for v in inv), gname.upper())
-    return named
-
-
-def _letter_name(ops, named: dict, coords: tuple[int, ...]) -> str:
-    """``e``, a generator's name, its upper case for the generator's inverse
-    (both read off ``named``, from ``_generator_names``), or else the
-    letter's coordinates, each after the generator in its place: ``b-1`` is
-    coordinate -1 on b's axis, which is b^-1 only when b is a unit vector."""
-    if all(v == 0 for v in coords):
-        return "e"
-    name = named.get(coords)
-    if name is not None:
-        return name
-    parts = []
-    for (gname, _), v in zip(ops.gens, coords):
-        if v:
-            parts.append(f"{gname}{v}")
-    return "".join(parts)
+    return _make_law(_canonical_kind(kind), _AbelianOps, _HeisenbergOps)
 
 
 class TableCheck:
@@ -338,7 +285,6 @@ class NilpotentInstance:
         "y_tab",
         "pair_cols",
         "_name_index",
-        "_gen_names",
         "_coord_index",
         "_byte_index",
     )
@@ -352,16 +298,14 @@ class NilpotentInstance:
         self._coord_index = {c: i for i, c in enumerate(self.letters)}
         if len(self._coord_index) != len(self.letters):
             raise AutomatonFormatError("duplicate letters")
-        self._gen_names = _generator_names(ops)
-        self.letter_names = tuple(_letter_name(ops, self._gen_names, c) for c in self.letters)
+        self.letter_names = tuple(map(ops.letter_name, self.letters))
         self._name_index = {n: i for i, n in enumerate(self.letter_names)}
         # one-character letter names by byte value, -1 for everything else
         self._byte_index = np.full(256, -1, dtype=np.int64)
         for n, i in self._name_index.items():
             if len(n) == 1 and n.isascii():
                 self._byte_index[ord(n)] = i
-        zero = tuple(0 for _ in range(ops.dim))
-        self.e_index = self._coord_index[zero]
+        self.e_index = self._coord_index[ops.identity]
         inv = ops.inv(self.coords.copy())
         inv_idx = []
         for row in inv:
@@ -399,8 +343,7 @@ class NilpotentInstance:
         return 0
 
     def rep_name(self, idx: int) -> str:
-        coords = self.ops.rep_from_index(np.asarray([idx], dtype=np.int64))[0]
-        return _letter_name(self.ops, self._gen_names, tuple(int(v) for v in coords))
+        return self.ops.letter_name(self.ops.rep_at(int(idx)))
 
     def parse(self, word: Union[str, Sequence]) -> np.ndarray:
         """Letter indices of a word, as a new int64 array.
@@ -572,8 +515,7 @@ def _shared_instance(kind: str) -> NilpotentInstance:
         grown = dict.fromkeys(letters)
         for c in missing:
             grown[c] = None
-            cinv = ops.inv(np.asarray([c], dtype=np.int64))[0]
-            grown[tuple(int(v) for v in cinv)] = None
+            grown[ops.inverse(c)] = None
         if len(grown) > _MAX_LETTERS:
             raise ClosureFailure(f"letter set exceeded {_MAX_LETTERS} elements")
         if len(grown) == len(letters):
@@ -672,25 +614,15 @@ def _pair_fold(inst: NilpotentInstance, live: np.ndarray) -> tuple[int, Optional
     return x, inst.c_tab.take(pair)
 
 
-def _list_fold(inst: NilpotentInstance, live: list) -> tuple[int, Optional[list]]:
-    """``_pair_fold`` over a list of live letters, one pair at a time in
-    Python, threading the representative through y_tab; the c letters come
-    back without the identity's.  Both tables are read through memoryviews,
-    not copied."""
-    nN, nX, e = inst.n_letters, inst.n_reps, inst.e_index
-    c_tab = memoryview(inst.c_tab.reshape(-1))
-    y_tab = memoryview(inst.y_tab.reshape(-1))
-    pairs = iter(live + [e] if len(live) % 2 else live)
-    x = inst.rep_e
-    out = []
-    for a, b in zip(pairs, pairs):
-        i = (a * nN + b) * nX + x
-        c, x = c_tab[i], y_tab[i]
-        if c != e:
-            out.append(c)
-    if x != inst.rep_e:
-        return x, None
-    return x, out
+def _live(inst: NilpotentInstance, letters: np.ndarray):
+    """The non-identity letters of an index array, in tape order: an index
+    array from ``_LIST_MAX`` letters up, else the coordinate tuples
+    ``_list_fold`` reads."""
+    # take, not letters[mask]: boolean indexing is several times slower here
+    live = letters.take(np.flatnonzero(letters != inst.e_index))
+    if len(live) < _LIST_MAX:
+        return list(map(inst.letters.__getitem__, live.tolist()))
+    return live
 
 
 def halve(inst: NilpotentInstance, word) -> tuple[str, ...]:
@@ -710,44 +642,25 @@ def halve(inst: NilpotentInstance, word) -> tuple[str, ...]:
 
 def solve_nilpotent(inst: NilpotentInstance, word) -> StepReport:
     """Decide triviality by repeated halving, counting tape-machine steps in
-    one ``StageRecord`` per stage: three scans of the full tape plus one
-    write per rewritten symbol.
+    one ``StageRecord`` per stage (``halving.run_stages``): three scans of the
+    full tape plus one write per rewritten symbol.
 
     Only the live (non-identity) letters are simulated: each stage folds them
     once, a pair at a time, for both the coset scan and the pair rewrite (see
     ``_pair_fold``), and the next stage keeps the non-identity c letters.
     Once a stage has fewer than ``_LIST_MAX`` live letters, it and every
-    later stage fold a list in Python (``_list_fold``) instead.  An int64
-    array word is read in place, not copied.
+    later stage fold their coordinate tuples in Python (``_list_fold``)
+    instead.  An int64 array word is read in place, not copied.
     """
-    live = inst._indices(word)
-    n = len(live)
-    ledger = []
-    detail = {"group": inst.name, "stage_nontrivial": []}
-    guard = 2 * int(np.ceil(np.log2(n + 2))) + 16
-    fold = _pair_fold
-    while True:
-        if fold is _pair_fold:
-            # take, not live[mask]: boolean indexing is several times slower here
-            live = live.take(np.flatnonzero(live != inst.e_index))
-            if len(live) < _LIST_MAX:
-                live, fold = live.tolist(), _list_fold
-        detail["stage_nontrivial"].append(len(live))
-        if len(live) == 0:
-            ledger.append(StageRecord(n, n, (n,)))
-            verdict = True
-            break
-        x, c = fold(inst, live)
-        if c is None:
-            ledger.append(StageRecord(n, n, (n, n)))
-            verdict = False
-            detail["coset"] = inst.rep_name(x)
-            break
-        if len(ledger) > guard:
-            raise NonTermination(len(ledger), guard)
-        ledger.append(StageRecord(n, n, (n, n, n + len(live))))  # the rewrite sweep, and 2k + odd symbols written
-        live = c
-    return StepReport.of("nilpotent", verdict, n, ledger, detail)
+    word = inst._indices(word)
+
+    def fold(live):
+        if isinstance(live, list):
+            return _list_fold(inst.ops, live)
+        x, c = _pair_fold(inst, live)
+        return inst.ops.rep_at(x), None if c is None else _live(inst, c)
+
+    return run_stages(inst.ops, len(word), _live(inst, word), fold)
 
 
 def random_word(inst: NilpotentInstance, length: int, rng) -> str:

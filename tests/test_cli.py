@@ -353,6 +353,27 @@ def test_import_and_solve_load_no_numpy():
     assert lines[2] == "0 False"
 
 
+def test_short_group_solves_load_no_numpy():
+    # a word under 128 one-character letters is solved on coordinates; a
+    # 128-letter word still takes the table path, which needs numpy
+    src = os.path.dirname(os.path.dirname(autgrp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import sys, autgrp.cli\n"
+        "for k, w in (('z4', 'aaa'), ('z2', 'abAB'), ('heis', 'ABabC' + 'e' * 122)):\n"
+        "    rc = autgrp.cli.cli_main(['solve', '--group', k, '--word', w])\n"
+        "    print(rc, 'numpy' in sys.modules)\n"
+        "rc = autgrp.cli.cli_main(['solve', '--group', 'heis', '--word', 'ABabC' + 'e' * 123])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("reject") and lines[1] == "1 False"
+    assert lines[2].startswith("accept") and lines[3] == "0 False"
+    assert lines[4] == "accept method=nilpotent n=127 stages=2 steps=896" and lines[5] == "0 False"
+    assert lines[6] == "accept method=nilpotent n=128 stages=2 steps=903" and lines[7] == "0 True"
+
+
 def test_lazy_modules_serve_their_names():
     from autgrp.bench import FAMILIES
     from autgrp.nilpotent import build_instance
