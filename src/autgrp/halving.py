@@ -1,11 +1,15 @@
 """Halving on coordinate tuples, without numpy: the instance groups' laws, the
 one stage loop of every halving solve, and a solver for short words.
 
-A group law multiplies, inverts, takes right-coset representatives of phi(G)
-and applies phi^-1 on tuples of Python ints.  From them the transition
-(a, b, x) -> (c, y) is y = rep(x a b) and c = phi^-1(x a b y^-1), the entry
-that ``nilpotent``'s dense tables hold for every letter pair and
-representative; here it is computed on first use and memoized per law.
+Each group law is written here once.  It multiplies, inverts, applies phi
+and phi^-1, takes right-coset representatives of phi(G) and numbers them, on
+a tuple with one entry per coordinate.  An entry may be a Python int or a
+numpy array: the same code runs on a single element here and, in
+``nilpotent``, on whole arrays of elements at once, which is how the dense
+tables are built and checked.  The transition (a, b, x) -> (c, y) is
+y = rep(x a b) and c = phi^-1(x a b y^-1), the entry those tables hold for
+every letter pair and representative; here it is computed on first use and
+memoized per law.
 ``run_stages`` is the stage loop.  ``nilpotent.solve_nilpotent`` runs it with
 array folds on long stages and ``_list_fold`` from the first stage under
 ``_LIST_MAX`` live letters; ``solve_short`` runs it with ``_list_fold`` from
@@ -18,7 +22,7 @@ from __future__ import annotations
 import functools
 from typing import Optional
 
-from .errors import ClosureFailure, NonTermination
+from .errors import ClosureFailure, NonTermination, UnknownLetter
 from .solvers import StageRecord, StepReport
 
 # A stage with fewer live letters, and every stage after it, runs as a
@@ -28,6 +32,12 @@ from .solvers import StageRecord, StepReport
 # against 10.3 at 128.  The halving corpus timed the same with the cut at
 # 64, 128 and 256.
 _LIST_MAX = 128
+
+
+def _nonzero(v) -> bool:
+    """Whether an int, or any entry of an array, is nonzero (an array has no
+    single truth value)."""
+    return bool(v.any()) if hasattr(v, "any") else v != 0
 
 
 class _Moves(dict):
@@ -45,7 +55,9 @@ class _Moves(dict):
 class _Law:
     """What every group law shares: the identity, the generators' names,
     letter names and the memoized transitions (at most one per letter pair
-    and representative)."""
+    and representative).  Each law takes and gives one entry per coordinate,
+    ints or broadcastable arrays, and only ``unphi``'s image check reads an
+    array whole; ``rep_at`` inverts ``rep_index``."""
 
     def __init__(self):
         self.identity = (0,) * self.dim
@@ -94,15 +106,22 @@ class _AbelianLaw(_Law):
     def inverse(self, g):
         return tuple(-v for v in g)
 
-    def rep(self, g):
-        return tuple(v & 3 for v in g)
+    def phi(self, g):
+        return tuple(4 * v for v in g)
 
-    def rep_at(self, i: int):
-        """The representative whose index is i, coordinate d read from bits 2d and 2d + 1."""
+    def rep(self, g):
+        return tuple(v & 3 for v in g)  # v mod 4: a mask, which numpy runs faster than %
+
+    def rep_index(self, r):
+        """The index of representative r, coordinate d in bits 2d and 2d + 1."""
+        return sum(v << 2 * d for d, v in enumerate(r))
+
+    def rep_at(self, i):
+        """The representative whose index is i."""
         return tuple((i >> 2 * d) & 3 for d in range(self.dim))
 
     def unphi(self, g):
-        if any(v & 3 for v in g):
+        if any(_nonzero(v & 3) for v in g):
             raise ClosureFailure("element is not in the endomorphism image")
         return tuple(v >> 2 for v in g)
 
@@ -123,26 +142,45 @@ class _HeisenbergLaw(_Law):
     def inverse(self, g):
         return (-g[0], -g[1], g[0] * g[1] - g[2])
 
+    def phi(self, g):
+        return (4 * g[0], 4 * g[1], 16 * g[2])
+
     def rep(self, g):
+        # mod 4, floor division by 4 and mod 16 as masks and a shift, which
+        # numpy runs several times faster than % and //
         y = g[1] & 3
         return (g[0] & 3, y, (g[2] - 4 * (g[0] >> 2) * y) & 15)
 
-    def rep_at(self, i: int):
-        """The representative whose index is i = x + 4y + 16z."""
+    def rep_index(self, r):
+        """The index x + 4y + 16z of representative r = (x, y, z)."""
+        return r[0] + 4 * r[1] + 16 * r[2]
+
+    def rep_at(self, i):
+        """The representative whose index is i."""
         return (i & 3, (i >> 2) & 3, i >> 4)
 
     def unphi(self, g):
-        if g[0] & 3 or g[1] & 3 or g[2] & 15:
+        if _nonzero(g[0] & 3 | g[1] & 3 | g[2] & 15):
             raise ClosureFailure("element is not in the endomorphism image")
         return (g[0] >> 2, g[1] >> 2, g[2] >> 4)
 
 
 _ABELIAN = {"z4": (1, 4, [("a", (1,))]), "z2": (2, 16, [("a", (1, 0)), ("b", (0, 1))])}
+_KINDS = {"z4": "z4", "z": "z4", "z2": "z2", "z2x4": "z2", "heis": "heis", "heisenberg": "heis"}
+
+
+def _canonical_kind(kind: str) -> str:
+    """z4, z2 or heis for any of their names, in any case and spacing."""
+    key = _KINDS.get(kind.strip().lower())
+    if key is None:
+        raise UnknownLetter(kind, "instance kind")
+    return key
 
 
 def _make_law(kind: str, abelian=_AbelianLaw, heisenberg=_HeisenbergLaw):
-    """The law of z4, z2 or heis, as the class given (``nilpotent`` passes its
-    array ops, which extend these)."""
+    """The law of z4, z2 or heis under any of their names, as the class given
+    (``nilpotent`` passes its ops, which extend these with array folds)."""
+    kind = _canonical_kind(kind)
     return heisenberg() if kind == "heis" else abelian(kind, *_ABELIAN[kind])
 
 
@@ -201,13 +239,15 @@ def _shared_law(kind: str):
 
 
 def solve_short(kind: str, word: str) -> Optional[StepReport]:
-    """``solve_nilpotent(build_instance(kind), word)`` for ``kind`` z4, z2 or
-    heis and a word of fewer than ``_LIST_MAX`` characters, each ``e``, a
-    generator's name or its upper case; None for any other word, which needs
-    the instance's parser (whitespace, longer letter names, ``-``)."""
+    """``solve_nilpotent(build_instance(kind), word)`` for ``kind`` z4, z2,
+    heis or any alias ``build_instance`` takes, and a word of fewer than
+    ``_LIST_MAX`` characters, each ``e``, a generator's name or its upper
+    case; None for any other word, which needs the instance's parser
+    (whitespace, longer letter names, ``-``).  An unknown kind raises
+    UnknownLetter, as ``build_instance`` does."""
+    law = _shared_law(_canonical_kind(kind))
     if len(word) >= _LIST_MAX:
         return None
-    law = _shared_law(kind)
     spelled = {name: g for g, name in law.named.items()}
     try:
         live = [spelled[ch] for ch in word if ch != "e"]

@@ -33,6 +33,14 @@ where the two broke even, they run on packed bytes, eight residues to a
 coordinate tuples in Python through the group law's memoized transitions
 (``halving._list_fold``), where a pair loop costs less than a stage's fixed
 numpy calls.
+
+Each group law is written once, in ``autgrp.halving``, on a tuple with one
+entry per coordinate, and runs unchanged on ints and on arrays: ``_derive``
+runs it on one numpy array per coordinate over every letter pair and
+representative to build the tables, and ``_check_tables`` to check them.
+The ops classes here extend the laws only with what has no scalar form: the
+array fold of a word, the pair fold over residue columns and the seed
+letters.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import AutomatonFormatError, ClosureFailure, UnknownLetter
-from .halving import _LIST_MAX, _AbelianLaw, _HeisenbergLaw, _list_fold, _make_law, run_stages
+from .halving import _LIST_MAX, _AbelianLaw, _HeisenbergLaw, _canonical_kind, _list_fold, _make_law, run_stages
 from .solvers import StepReport
 
 _CLOSURE_ROUNDS = 12
@@ -95,37 +103,7 @@ def _prefix_sum(v: np.ndarray) -> np.ndarray:
 
 
 class _AbelianOps(_AbelianLaw):
-    """The Z^d law on arrays of coordinate rows, ``[..., d]`` coordinate d."""
-
-    def mult(self, A, B):
-        return A + B
-
-    def inv(self, A):
-        return -A
-
-    def phi(self, A):
-        return 4 * A
-
-    def phi_inv(self, A):
-        if (A & 3).any():  # A mod 4 and A // 4 as a mask and a shift, like rep_coords
-            raise ClosureFailure("element is not in the endomorphism image")
-        return A >> 2
-
-    def rep_coords(self, T):
-        return T & 3  # T mod 4; numpy's % is several times slower than a mask
-
-    def rep_index(self, R):
-        idx = R[..., 0]
-        for d in range(1, self.dim):
-            idx = idx + (4**d) * R[..., d]
-        return idx
-
-    def rep_from_index(self, idx):
-        idx = np.asarray(idx)
-        out = np.empty(idx.shape + (self.dim,), dtype=np.int64)
-        for d in range(self.dim):
-            out[..., d] = (idx // (4**d)) % 4
-        return out
+    """The Z^d law with its array fold and pair fold."""
 
     def fold(self, coords):
         """Running products g_1, g_1 g_2, ... as an (n, dim) array."""
@@ -154,49 +132,7 @@ class _AbelianOps(_AbelianLaw):
 
 
 class _HeisenbergOps(_HeisenbergLaw):
-    """The Heisenberg law on arrays of coordinate rows, ``[..., d]`` coordinate d."""
-
-    def mult(self, A, B):
-        out = A + B
-        out[..., 2] += A[..., 0] * B[..., 1]
-        return out
-
-    def inv(self, A):
-        out = -A
-        out[..., 2] += A[..., 0] * A[..., 1]
-        return out
-
-    def phi(self, A):
-        out = A * 4
-        out[..., 2] *= 4
-        return out
-
-    def phi_inv(self, A):
-        if (A[..., :2] & 3).any() or (A[..., 2] & 15).any():
-            raise ClosureFailure("element is not in the endomorphism image")
-        out = A >> 2
-        out[..., 2] = A[..., 2] >> 4
-        return out
-
-    def rep_coords(self, T):
-        out = np.empty_like(T)
-        # mod 4, floor division by 4 and mod 16 as masks and a shift, which
-        # numpy runs several times faster than % and //
-        out[..., 0] = T[..., 0] & 3
-        out[..., 1] = T[..., 1] & 3
-        out[..., 2] = (T[..., 2] - 4 * (T[..., 0] >> 2) * out[..., 1]) & 15
-        return out
-
-    def rep_index(self, R):
-        return R[..., 0] + 4 * R[..., 1] + 16 * R[..., 2]
-
-    def rep_from_index(self, idx):
-        idx = np.asarray(idx)
-        out = np.empty(idx.shape + (3,), dtype=np.int64)
-        out[..., 0] = idx % 4
-        out[..., 1] = (idx // 4) % 4
-        out[..., 2] = idx // 16
-        return out
+    """The Heisenberg law with its array fold and pair fold."""
 
     def fold(self, coords):
         """Running products g_1, g_1 g_2, ... as an (n, 3) array."""
@@ -213,7 +149,7 @@ class _HeisenbergOps(_HeisenbergLaw):
         (``_prefix_sum``) mod 256 as a byte cumsum or mod 16 as the packed
         scan that takes over at ``_PACKED_MIN`` = 2,048 values, where the two
         broke even.  So all a representative reads stays exact: x mod 16, y
-        mod 4, z's increment x_before * y_pair mod 16, and rep_coords'
+        mod 4, z's increment x_before * y_pair mod 16, and ``rep``'s
         z - 4 (x >> 2) y mod 16, as (x mod 256) >> 2 agrees with x >> 2 mod
         4; 4 (x >> 2) is x & ~3, and ``<< 4`` drops what lies above mod 16.
         ``solve_nilpotent`` folds stages under ``_LIST_MAX`` = 128 live
@@ -234,20 +170,6 @@ class _HeisenbergOps(_HeisenbergLaw):
         for _, g in self.gens:
             seed.update((g, self.inverse(g)))
         return sorted(seed)
-
-
-_KINDS = {"z4": "z4", "z": "z4", "z2": "z2", "z2x4": "z2", "heis": "heis", "heisenberg": "heis"}
-
-
-def _canonical_kind(kind: str) -> str:
-    key = _KINDS.get(kind.strip().lower())
-    if key is None:
-        raise UnknownLetter(kind, "instance kind")
-    return key
-
-
-def _make_ops(kind: str):
-    return _make_law(_canonical_kind(kind), _AbelianOps, _HeisenbergOps)
 
 
 class TableCheck:
@@ -306,10 +228,9 @@ class NilpotentInstance:
             if len(n) == 1 and n.isascii():
                 self._byte_index[ord(n)] = i
         self.e_index = self._coord_index[ops.identity]
-        inv = ops.inv(self.coords.copy())
         inv_idx = []
-        for row in inv:
-            key = tuple(int(v) for v in row)
+        for g in self.letters:
+            key = ops.inverse(g)
             got = self._coord_index.get(key)
             if got is None:
                 raise AutomatonFormatError(f"letter set is not closed under inversion: missing {key}")
@@ -420,51 +341,57 @@ class NilpotentInstance:
         return all(v == 0 for v in self.word_value(word))
 
 
-def _letter_index(inst: NilpotentInstance, C: np.ndarray) -> np.ndarray:
-    """Letter index of every coordinate row of C, -1 where the row is no letter.
+def _letter_index(inst: NilpotentInstance, C) -> np.ndarray:
+    """Letter index of every element of C, one array per coordinate, -1 where
+    the element is no letter.
 
     One int64 table spans the letter set's coordinate bounding box plus one
     slot past its end on each axis, which holds -1.  Each coordinate, offset
     by the box's low corner, is clamped to that slot as an unsigned value (so
-    a negative offset clamps too) before the mixed-radix key is formed: a row
-    outside the box reads -1 and can never alias a letter.
+    a negative offset clamps too) before the mixed-radix key is formed: an
+    element outside the box reads -1 and can never alias a letter.
     """
     lo = inst.coords.min(axis=0).tolist()
     span = (inst.coords.max(axis=0) - lo + 1).tolist()
     table = np.full([n + 1 for n in span], -1, dtype=np.int64)
     table[tuple((inst.coords - lo).T)] = np.arange(inst.n_letters)
-    key = np.zeros(C.shape[:-1], dtype=np.int64)
-    for d, n in enumerate(span):
+    key = np.zeros(C[0].shape, dtype=np.int64)
+    for v, low, n in zip(C, lo, span):
         key *= n + 1
-        key += np.minimum((C[..., d] - lo[d]).view(f"u{C.itemsize}"), n).view(C.dtype)
+        key += np.minimum((v - low).view(f"u{v.itemsize}"), n).view(v.dtype)
     return table.reshape(-1).take(key)
 
 
+def _columns(inst: NilpotentInstance, dtype) -> tuple[np.ndarray, ...]:
+    """The letters' coordinates, one contiguous array per coordinate."""
+    return tuple(np.ascontiguousarray(inst.coords.T, dtype=dtype))
+
+
 def _derive(inst: NilpotentInstance):
-    """What the tables and their check read: x*a for every letter a and
+    """What the tables and their check read, each element one array per
+    coordinate from the group law run on arrays: x*a for every letter a and
     representative x, x*a*b for every pair (a, b), the representative Y of
     x*a*b, the letter index of its c = phi^-1(x*a*b*Y^-1) (-1 outside the
     set), and the sorted coordinates of the c's that are no letter.
 
-    The cubes are int32 when the letters' coordinates are small enough for
-    every product to fit, and stored coordinate-outermost (numpy keeps the
-    Fortran-order inputs' layout), so each ``[..., d]`` the ops read is one
-    contiguous block.
+    The arrays are int32 when the letters' coordinates are small enough for
+    every product to fit.
     """
-    ops = inst.ops
+    law = inst.ops
     dtype = np.int32 if np.abs(inst.coords).max() < 2**12 else np.int64
-    reps = np.asfortranarray(ops.rep_from_index(np.arange(ops.n_reps)), dtype=dtype)
-    letters = np.asfortranarray(inst.coords, dtype=dtype)
-    XA = ops.mult(reps[None, :, :], letters[:, None, :])
-    T = ops.mult(XA[:, None], letters[None, :, None])
-    Y = ops.rep_coords(T)
-    C = ops.phi_inv(ops.mult(T, ops.inv(Y)))
+    letters = _columns(inst, dtype)
+    x = law.rep_at(np.arange(law.n_reps, dtype=dtype))
+    XA = law.product(x, tuple(v[:, None] for v in letters))  # [a, x]
+    T = law.product(tuple(v[:, None] for v in XA), tuple(v[None, :, None] for v in letters))  # [a, b, x]
+    Y = law.rep(T)
+    C = law.unphi(law.product(T, law.inverse(Y)))
     c_idx = _letter_index(inst, C)
-    missing = sorted(set(map(tuple, C[c_idx < 0].tolist())))  # few rows: sort only those
+    outside = c_idx < 0
+    missing = sorted(set(zip(*(v[outside].tolist() for v in C))))  # few elements: sort only those
     return XA, T, Y, c_idx, missing
 
 
-def _fill_tables(inst: NilpotentInstance, derived=None) -> tuple[list[tuple[int, ...]], np.ndarray]:
+def _fill_tables(inst: NilpotentInstance, derived=None) -> tuple[list[tuple[int, ...]], tuple]:
     """Populate act/y_tab/c_tab/pair_cols from ``_derive(inst)``, or from
     ``derived`` when the caller already holds it.
 
@@ -472,16 +399,13 @@ def _fill_tables(inst: NilpotentInstance, derived=None) -> tuple[list[tuple[int,
     (those entries get the identity as a placeholder, which
     verify_table_closure then flags) and the x*a*b cube the tables came from.
     """
-    ops = inst.ops
+    law = inst.ops
     XA, T, Y, c_idx, missing = derived or _derive(inst)
-    inst.act = ops.rep_index(ops.rep_coords(XA)).astype(np.int32).T.copy()  # (nX, nN)
-    inst.y_tab = ops.rep_index(Y).astype(np.int32)
+    inst.act = law.rep_index(law.rep(XA)).astype(np.int32).T.copy()  # (nX, nN)
+    inst.y_tab = law.rep_index(Y).astype(np.int32)
     inst.c_tab = np.where(c_idx < 0, inst.e_index, c_idx).astype(np.int32)
     # a*b for every pair a nN + b, the cube under the identity, as uint8 residues
-    inst.pair_cols = tuple(
-        (T[:, :, inst.rep_e, d] & ops.residue_mask).astype(np.uint8, order="C").ravel()
-        for d in range(ops.dim)
-    )
+    inst.pair_cols = tuple((v[:, :, inst.rep_e] & law.residue_mask).astype(np.uint8, order="C").ravel() for v in T)
     return missing, T
 
 
@@ -500,7 +424,7 @@ def build_instance(kind: str) -> NilpotentInstance:
 
 @functools.lru_cache(maxsize=None)
 def _shared_instance(kind: str) -> NilpotentInstance:
-    ops = _make_ops(kind)
+    ops = _make_law(kind, _AbelianOps, _HeisenbergOps)
     letters = ops.seed_letters()
     for _ in range(_CLOSURE_ROUNDS):
         inst = NilpotentInstance(ops, letters)
@@ -534,7 +458,7 @@ def instance_with_letters(kind: str, letter_coords) -> NilpotentInstance:
     be semantically wrong; run verify_table_closure to find out.  Meant for
     probing verification, not for solving.
     """
-    inst = NilpotentInstance(_make_ops(kind), [tuple(c) for c in letter_coords])
+    inst = NilpotentInstance(_make_law(kind, _AbelianOps, _HeisenbergOps), [tuple(c) for c in letter_coords])
     _fill_tables(inst)
     return inst
 
@@ -549,18 +473,16 @@ def verify_table_closure(inst: NilpotentInstance) -> TableCheck:
 def _check_tables(inst: NilpotentInstance, derived) -> TableCheck:
     """verify_table_closure against ``derived``, ``_derive(inst)``: its x*a*b
     cube T, their representatives Y and the letter index of each c; the
-    stored c and y are gathered a coordinate at a time, in T's layout."""
-    ops = inst.ops
+    stored c and y are gathered a coordinate at a time."""
+    law = inst.ops
     _, T, Y, c_idx, _ = derived
-    reps = ops.rep_from_index(np.arange(ops.n_reps))
-    phi_c, y = (
-        np.moveaxis(table.astype(T.dtype).T.take(tab, axis=1), 0, -1)
-        for table, tab in ((ops.phi(inst.coords), inst.c_tab), (reps, inst.y_tab))
-    )
-    lhs = ops.mult(phi_c, y)
-    good = (c_idx >= 0) & (inst.y_tab == ops.rep_index(Y))
-    for d in range(ops.dim):
-        good &= lhs[..., d] == T[..., d]
+    dtype = T[0].dtype
+    phi_c = tuple(v.take(inst.c_tab) for v in law.phi(_columns(inst, dtype)))
+    y = tuple(v.take(inst.y_tab) for v in law.rep_at(np.arange(law.n_reps, dtype=dtype)))
+    lhs = law.product(phi_c, y)
+    good = (c_idx >= 0) & (inst.y_tab == law.rep_index(Y))
+    for u, v in zip(lhs, T):
+        good &= u == v
     if good.all():
         return TableCheck(True, [])
     witnesses = []

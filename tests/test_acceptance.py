@@ -162,7 +162,7 @@ def test_criterion_08_heisenberg_agreement(heis):
 def _decoded_tables(inst):
     letters = np.asarray(inst.letters, dtype=np.int64)
     nN, nX = inst.n_letters, inst.n_reps
-    reps = inst.ops.rep_from_index(np.arange(nX, dtype=np.int64))
+    reps = np.stack(inst.ops.rep_at(np.arange(nX, dtype=np.int64)), axis=-1)
     a = letters[:, None, None, :]
     b = letters[None, :, None, :]
     x = reps[None, None, :, :]

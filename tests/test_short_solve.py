@@ -12,10 +12,11 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from autgrp import build_instance, cli_main, random_trivial_word, random_word, solve_nilpotent
-from autgrp.errors import NonTermination
+from autgrp.errors import NonTermination, UnknownLetter
 from autgrp.halving import _LIST_MAX, _make_law, run_stages, solve_short
 
 KINDS = ("z4", "z2", "heis")
@@ -27,7 +28,7 @@ def test_transitions_equal_the_tables(kind):
     inst = build_instance(kind)
     law = _make_law(kind)
     reps = [law.rep_at(x) for x in range(law.n_reps)]
-    assert reps == [tuple(r) for r in inst.ops.rep_from_index(range(law.n_reps)).tolist()]
+    assert reps == list(zip(*(v.tolist() for v in inst.ops.rep_at(np.arange(law.n_reps)))))
     c_tab, y_tab = inst.c_tab.tolist(), inst.y_tab.tolist()
     for i, a in enumerate(inst.letters):
         assert law.inverse(a) == inst.letters[inst.inverse_index[i]]
@@ -64,6 +65,26 @@ def test_short_reject_names_its_coset():
     assert solve_short("z4", "aaa").detail == {"group": "z4", "stage_nontrivial": [3], "coset": "a3"}
     assert solve_short("z2", "aab").detail["coset"] == "a2b1"
     assert solve_short("heis", "aaaa").detail == {"group": "heis", "stage_nontrivial": [4, 1], "coset": "a"}
+
+
+@pytest.mark.parametrize("alias", ["z4", "z", "Z4", " z2 ", "z2x4", "heis", "heisenberg", "HEIS"])
+def test_every_alias_solves_as_its_instance(alias):
+    inst = build_instance(alias)
+    assert _make_law(alias).name == inst.name
+    rng = random.Random(f"alias:{alias}")
+    words = ["", "aA", "aaa", "a" * 16 + "A" * 16]
+    words += [random_word(inst, n, rng) for n in range(0, 40, 3)]
+    words += [random_trivial_word(inst, n, rng) for n in range(0, 40, 3)]
+    for w in words:
+        assert solve_short(alias, w).to_dict() == solve_nilpotent(inst, w).to_dict(), (alias, w)
+
+
+def test_unknown_kind_is_a_typed_error():
+    for call in (build_instance, _make_law, lambda kind: solve_short(kind, "aA")):
+        with pytest.raises(UnknownLetter):
+            call("bogus")
+    with pytest.raises(UnknownLetter):
+        solve_short("bogus", "a" * _LIST_MAX)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 7, 2**20 - 2, 2**20 - 1, 2**48 - 2, 2**48 - 1])
