@@ -34,6 +34,7 @@ from .automata import (
 )
 from .errors import (
     AutomatonFormatError,
+    BudgetExceeded,
     CertificateNotFound,
     NoIdentityState,
     NotPolynomial,
@@ -53,6 +54,15 @@ class _ScanContext:
     A branch is tracked as a single code ``x * ball_size + element``: the
     current branch letter of the power alphabet together with the ball
     element accumulated by the section letters seen so far.
+
+    ``trans[s]`` maps every code to the code after state ``s``, or to -1
+    where the walk leaves the ball; ``len_code`` maps it to its element's
+    length.  Each is one list of ``branches * ball_size`` entries, built by
+    slices: a branch whose section is the identity copies its target
+    branch's codes, any other reads them through the section generator's
+    column of the ball's edges.  A cell whose table would exceed
+    ``DEFAULT_BALL_BUDGET`` codes raises ``BudgetExceeded`` before any is
+    allocated.
     """
 
     def __init__(self, A: MealyAutomaton, block: int, power: int):
@@ -67,29 +77,32 @@ class _ScanContext:
         self.seck, self.outk = _power_tables(B, power)
         self.branches = len(B.letters) ** power
         nb = self.ball.size
+        size = self.branches * nb
+        if size > DEFAULT_BALL_BUDGET:
+            raise BudgetExceeded(DEFAULT_BALL_BUDGET, "scan table")
         ident = B.identity
         pos = self.ball.gen_pos
         edges = self.ball.edges
-        code = list(range(self.branches * nb))  # one int object per code, shared by every row
+        # one tuple per generator: its product with each element inside the
+        # ball (the edge rows come first, the sphere's are None), then slot nb,
+        # the -1 after each branch's codes, for every element on the sphere
+        inner = nb - edges.count(None)
+        off = (nb,) * (nb - inner)
+        columns = [col + off for col in zip(*edges[:inner])]
+        code = list(range(size))  # one int object per code, shared by every row
         self.trans = {} if ident is None else {ident: code}  # the identity fixes every code
         for s in self.enum:
-            row = [-1] * (self.branches * nb)
+            row = [-1] * size
             sec_row, out_row = self.seck[s], self.outk[s]
             for x in range(self.branches):
                 nx = out_row[x] * nb
                 g = sec_row[x]
-                base = x * nb
                 if g == ident:
-                    for el in range(nb):
-                        row[base + el] = code[nx + el]
+                    row[x * nb : (x + 1) * nb] = code[nx : nx + nb]
                 else:
-                    gp = pos[g]
-                    for el in range(nb):
-                        e_row = edges[el]
-                        if e_row is not None:
-                            row[base + el] = code[nx + e_row[gp]]
+                    row[x * nb : (x + 1) * nb] = map((code[nx : nx + nb] + [-1]).__getitem__, columns[pos[g]])
             self.trans[s] = row
-        self.len_code = [self.ball.length[c % nb] for c in range(self.branches * nb)]
+        self.len_code = self.ball.length * self.branches
 
     def start_codes(self) -> list[int]:
         return [x * self.ball.size for x in range(self.branches)]
