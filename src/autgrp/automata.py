@@ -59,6 +59,52 @@ def _inverse_name(name: str) -> str:
     return name + "^-1"
 
 
+def _parse_seq(seq, names: Sequence[str], ixmap: dict, kind: str) -> tuple[int, ...]:
+    """The one parser of automaton and halving words, in the forms
+    ``MealyAutomaton.parse_word`` lists: ``ixmap`` maps each accepted name to
+    its index, an index lies in ``range(len(names))``, an unknown name or
+    index raises UnknownLetter of ``kind`` and what is no word at all
+    AutomatonFormatError."""
+    if isinstance(seq, str):
+        txt = seq.strip()
+        if not txt or txt == "-":
+            return ()
+        toks = txt.split()
+        if len(toks) == 1 and toks[0] not in ixmap and len(toks[0]) > 1:
+            toks = toks[0]  # run-together one-character names
+        try:
+            return tuple(map(ixmap.__getitem__, toks))
+        except KeyError as exc:  # map stops at the first bad letter
+            raise UnknownLetter(exc.args[0], kind) from None
+    if getattr(seq, "ndim", 1) != 1:  # an array of another shape
+        raise AutomatonFormatError(f"a word must be one-dimensional, not {seq.ndim}-dimensional")
+    try:
+        items = iter(seq)
+    except TypeError:
+        raise AutomatonFormatError(f"a word is a string or a sequence, not {type(seq).__name__}") from None
+    out = []
+    for item in items:
+        if isinstance(item, str):
+            if item not in ixmap:
+                raise UnknownLetter(item, kind)
+            out.append(ixmap[item])
+        else:
+            try:
+                i = index(item)  # no truncation: 1.9 is no index
+            except TypeError:
+                raise UnknownLetter(item, kind) from None
+            if i < 0 or i >= len(names):
+                raise UnknownLetter(i, kind)
+            out.append(i)
+    return tuple(out)
+
+
+def _spell(names: Sequence[str]) -> str:
+    """Names run together when each is one character, else space-separated;
+    the empty word spells as ""."""
+    return "".join(names) if all(len(s) == 1 for s in names) else " ".join(names)
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Permutation of alphabet indexes; ``then`` composes left to right."""
@@ -170,69 +216,30 @@ class MealyAutomaton:
                 return s
         return None
 
-    # ---- interning helpers ----
-
-    def _parse_seq(self, seq, names, ixmap, kind) -> tuple[int, ...]:
-        if isinstance(seq, str):
-            txt = seq.strip()
-            if not txt or txt == "-":
-                return ()
-            toks = txt.split()
-            if len(toks) == 1 and toks[0] not in ixmap and len(toks[0]) > 1:
-                toks = toks[0]  # run-together one-character names
-            try:
-                return tuple(map(ixmap.__getitem__, toks))
-            except KeyError as exc:  # map stops at the first bad letter
-                raise UnknownLetter(exc.args[0], kind) from None
-        if getattr(seq, "ndim", 1) != 1:  # an array of another shape
-            raise AutomatonFormatError(f"a word must be one-dimensional, not {seq.ndim}-dimensional")
-        try:
-            items = iter(seq)
-        except TypeError:
-            raise AutomatonFormatError(f"a word is a string or a sequence, not {type(seq).__name__}") from None
-        out = []
-        for item in items:
-            if isinstance(item, str):
-                if item not in ixmap:
-                    raise UnknownLetter(item, kind)
-                out.append(ixmap[item])
-            else:
-                try:
-                    i = index(item)  # no truncation: 1.9 is no index
-                except TypeError:
-                    raise UnknownLetter(item, kind) from None
-                if i < 0 or i >= len(names):
-                    raise UnknownLetter(i, kind)
-                out.append(i)
-        return tuple(out)
-
     def parse_word(self, w: WordLike) -> Word:
         """Intern a word over the states.
 
         Accepts a string (single-character names run together, otherwise
-        whitespace-separated tokens), an iterable of names, or an iterable of
-        indexes.  ``"-"`` and ``""`` denote the empty word.  An index must be
-        an integer (a float raises UnknownLetter, never truncates), and an
-        array word must be one-dimensional.
+        whitespace-separated tokens, padding ignored), an iterable of names,
+        or an iterable of indexes.  ``"-"`` and ``""`` denote the empty
+        word.  An index must be an integer (a float raises UnknownLetter,
+        never truncates).  Anything else (None, a number, an array that is
+        not one-dimensional) raises AutomatonFormatError.
         """
-        return self._parse_seq(w, self.states, self._six, "state")
+        return _parse_seq(w, self.states, self._six, "state")
 
     def parse_letters(self, v: WordLike) -> tuple[int, ...]:
         """Intern a string over the alphabet; same input forms as parse_word."""
-        return self._parse_seq(v, self.letters, self._lix, "letter")
+        return _parse_seq(v, self.letters, self._lix, "letter")
 
     def word_names(self, w: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.states[s] for s in w)
 
     def word_str(self, w: Iterable[int]) -> str:
-        names = self.word_names(w)
-        if not names:
-            return "-"
-        return "".join(names) if all(len(s) == 1 for s in names) else " ".join(names)
+        return _spell(self.word_names(w)) or "-"
 
     def letters_str(self, v: Iterable[int]) -> str:
-        names = [self.letters[x] for x in v]
-        return "".join(names) if all(len(x) == 1 for x in names) else " ".join(names)
+        return _spell([self.letters[x] for x in v])
 
     def step(self, s: int, x: int) -> tuple[int, int]:
         """One transducer move: (state, letter) -> (next state, output letter)."""
@@ -472,17 +479,20 @@ def perm_of_word(A: MealyAutomaton, w: WordLike) -> Permutation:
     return Permutation(tuple(img))
 
 
-def _section_ints(A: MealyAutomaton, word, xs):
+def _run(A: MealyAutomaton, word, xs) -> tuple[list[int], list[int]]:
+    """Thread the letters xs through the word, one after the other: the
+    image of each letter, and the section of the word below xs."""
     nxt, out = A._next, A._out
-    cur_word = word
+    images = []
     for x in xs:
         nw = []
         cur = x
-        for s in cur_word:
+        for s in word:
             nw.append(nxt[s][cur])
             cur = out[s][cur]
-        cur_word = nw
-    return cur_word
+        images.append(cur)
+        word = nw
+    return images, word
 
 
 def section_of_word(A: MealyAutomaton, w: WordLike, x: WordLike) -> tuple[str, ...]:
@@ -491,24 +501,12 @@ def section_of_word(A: MealyAutomaton, w: WordLike, x: WordLike) -> tuple[str, .
     xs = A.parse_letters(x)
     if not xs:
         raise AutomatonFormatError("branch word must be nonempty")
-    return A.word_names(_section_ints(A, word, xs))
+    return A.word_names(_run(A, word, xs)[1])
 
 
 def apply(A: MealyAutomaton, w: WordLike, v: WordLike) -> str:
     """Image of the string v under the word w; always the same length as v."""
-    word = list(A.parse_word(w))
-    vs = A.parse_letters(v)
-    nxt, out = A._next, A._out
-    res = []
-    for x in vs:
-        nw = []
-        cur = x
-        for s in word:
-            nw.append(nxt[s][cur])
-            cur = out[s][cur]
-        res.append(cur)
-        word = nw
-    return A.letters_str(res)
+    return A.letters_str(_run(A, A.parse_word(w), A.parse_letters(v))[0])
 
 
 # ---- formal inverses ----
@@ -562,7 +560,7 @@ class InverseClosure:
 
     def parse(self, w: WordLike) -> Word:
         """Word over the merged states; accepts formal-inverse spellings."""
-        return self.automaton._parse_seq(w, self.automaton.states, self._names, "state")
+        return _parse_seq(w, self.automaton.states, self._names, "state")
 
     def inverse_word(self, w: Iterable[int]) -> Word:
         """Formal inverse: reversed word of inverse states."""

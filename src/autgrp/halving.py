@@ -67,6 +67,7 @@ class _Law:
         for gname, g in self.gens:
             self.named.setdefault(tuple(g), gname)
             self.named.setdefault(self.inverse(g), gname.upper())
+        self.spelled = {name: g for g, name in self.named.items()}  # read by solve_short
         self.moves = _Moves(self)
 
     def letter_name(self, g: tuple[int, ...]) -> str:
@@ -248,9 +249,8 @@ def solve_short(kind: str, word: str) -> Optional[StepReport]:
     law = _shared_law(_canonical_kind(kind))
     if len(word) >= _LIST_MAX:
         return None
-    spelled = {name: g for g, name in law.named.items()}
     try:
-        live = [spelled[ch] for ch in word if ch != "e"]
+        live = [law.spelled[ch] for ch in word if ch != "e"]
     except KeyError:
         return None
     return run_stages(law, len(word), live, functools.partial(_list_fold, law))

@@ -47,11 +47,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .automata import _parse_seq, _spell
 from .errors import AutomatonFormatError, ClosureFailure, UnknownLetter
 from .halving import _LIST_MAX, _AbelianLaw, _HeisenbergLaw, _canonical_kind, _list_fold, _make_law, run_stages
 from .solvers import StepReport
@@ -214,7 +216,13 @@ class NilpotentInstance:
     def __init__(self, ops, letter_coords: list[tuple[int, ...]]):
         self.name = ops.name
         self.ops = ops
-        self.letters = tuple(letter_coords)
+        try:
+            self.letters = tuple(tuple(map(operator.index, c)) for c in letter_coords)
+        except TypeError:
+            raise AutomatonFormatError("a letter's coordinates must be integers") from None
+        for c in self.letters:
+            if len(c) != ops.dim:
+                raise AutomatonFormatError(f"letter {c} has {len(c)} coordinates, {ops.name} takes {ops.dim}")
         self.coords = np.asarray(self.letters, dtype=np.int64)
         self.coords.flags.writeable = False
         self._coord_index = {c: i for i, c in enumerate(self.letters)}
@@ -227,7 +235,9 @@ class NilpotentInstance:
         for n, i in self._name_index.items():
             if len(n) == 1 and n.isascii():
                 self._byte_index[ord(n)] = i
-        self.e_index = self._coord_index[ops.identity]
+        self.e_index = self._coord_index.get(ops.identity)
+        if self.e_index is None:
+            raise AutomatonFormatError(f"letter set has no identity letter {ops.identity}")
         inv_idx = []
         for g in self.letters:
             key = ops.inverse(g)
@@ -269,9 +279,11 @@ class NilpotentInstance:
     def parse(self, word: Union[str, Sequence]) -> np.ndarray:
         """Letter indices of a word, as a new int64 array.
 
-        Takes a string of one-character letters, whitespace-separated letter
-        names, a sequence of names or indices, or an integer array; raises
-        UnknownLetter for a name or index that is not a letter.
+        An integer array and a string of one-character ASCII letters have
+        fast paths; every other word goes to the automata's parser
+        (``automata._parse_seq``), in the forms ``MealyAutomaton.parse_word``
+        takes.  Raises UnknownLetter for a name or index that is not a
+        letter, AutomatonFormatError for what is no word.
         """
         out = self._indices(word)
         return out.copy() if out is word else out
@@ -290,43 +302,14 @@ class NilpotentInstance:
             if (out >= 0).all():
                 return out
             # whitespace, a multi-character name or a bad character
-        if isinstance(word, str):
-            tokens = word.split() if any(ch.isspace() for ch in word) else None
-            if tokens is None:
-                if word in ("", "-"):
-                    tokens = []
-                elif word in self._name_index:
-                    tokens = [word]
-                else:
-                    tokens = list(word)
-        else:
-            tokens = []
-            for item in word:
-                if isinstance(item, (int, np.integer)):
-                    if not 0 <= int(item) < self.n_letters:
-                        raise UnknownLetter(str(item))
-                    tokens.append(self.letter_names[int(item)])
-                else:
-                    tokens.append(str(item))
-        out = np.empty(len(tokens), dtype=np.int64)
-        for i, tok in enumerate(tokens):
-            j = self._name_index.get(tok)
-            if j is None:
-                raise UnknownLetter(tok)
-            out[i] = j
-        return out
+        return np.array(_parse_seq(word, self.letter_names, self._name_index, "letter"), dtype=np.int64)
 
     def word_names(self, word) -> tuple[str, ...]:
         idxs = self.parse(word)
         return tuple(self.letter_names[int(i)] for i in idxs)
 
     def word_str(self, word) -> str:
-        names = self.word_names(word)
-        if not names:
-            return "-"
-        if all(len(n) == 1 for n in names):
-            return "".join(names)
-        return " ".join(names)
+        return _spell(self.word_names(word)) or "-"
 
     # -- coordinate oracle ----------------------------------------------
 
@@ -369,10 +352,10 @@ def _columns(inst: NilpotentInstance, dtype) -> tuple[np.ndarray, ...]:
 
 def _derive(inst: NilpotentInstance):
     """What the tables and their check read, each element one array per
-    coordinate from the group law run on arrays: x*a for every letter a and
-    representative x, x*a*b for every pair (a, b), the representative Y of
-    x*a*b, the letter index of its c = phi^-1(x*a*b*Y^-1) (-1 outside the
-    set), and the sorted coordinates of the c's that are no letter.
+    coordinate from the group law run on arrays: x*a*b for every letter pair
+    (a, b) and representative x, the representative Y of x*a*b, the letter
+    index of its c = phi^-1(x*a*b*Y^-1) (-1 outside the set), and the sorted
+    coordinates of the c's that are no letter.
 
     The arrays are int32 when the letters' coordinates are small enough for
     every product to fit.
@@ -388,21 +371,22 @@ def _derive(inst: NilpotentInstance):
     c_idx = _letter_index(inst, C)
     outside = c_idx < 0
     missing = sorted(set(zip(*(v[outside].tolist() for v in C))))  # few elements: sort only those
-    return XA, T, Y, c_idx, missing
+    return T, Y, c_idx, missing
 
 
 def _fill_tables(inst: NilpotentInstance, derived=None) -> tuple[list[tuple[int, ...]], tuple]:
-    """Populate act/y_tab/c_tab/pair_cols from ``_derive(inst)``, or from
-    ``derived`` when the caller already holds it.
+    """Populate y_tab/c_tab/pair_cols from ``_derive(inst)``, or from
+    ``derived`` when the caller already holds it, and act, the coset action
+    x -> rep(x a), which is y_tab's identity column: x a e = x a.
 
     Returns the coordinates of any produced letter that falls outside the set
     (those entries get the identity as a placeholder, which
     verify_table_closure then flags) and the x*a*b cube the tables came from.
     """
     law = inst.ops
-    XA, T, Y, c_idx, missing = derived or _derive(inst)
-    inst.act = law.rep_index(law.rep(XA)).astype(np.int32).T.copy()  # (nX, nN)
+    T, Y, c_idx, missing = derived or _derive(inst)
     inst.y_tab = law.rep_index(Y).astype(np.int32)
+    inst.act = inst.y_tab[:, inst.e_index, :].T.copy()  # (nX, nN), C order
     inst.c_tab = np.where(c_idx < 0, inst.e_index, c_idx).astype(np.int32)
     # a*b for every pair a nN + b, the cube under the identity, as uint8 residues
     inst.pair_cols = tuple((v[:, :, inst.rep_e] & law.residue_mask).astype(np.uint8, order="C").ravel() for v in T)
@@ -458,7 +442,7 @@ def instance_with_letters(kind: str, letter_coords) -> NilpotentInstance:
     be semantically wrong; run verify_table_closure to find out.  Meant for
     probing verification, not for solving.
     """
-    inst = NilpotentInstance(_make_law(kind, _AbelianOps, _HeisenbergOps), [tuple(c) for c in letter_coords])
+    inst = NilpotentInstance(_make_law(kind, _AbelianOps, _HeisenbergOps), letter_coords)
     _fill_tables(inst)
     return inst
 
@@ -475,7 +459,7 @@ def _check_tables(inst: NilpotentInstance, derived) -> TableCheck:
     cube T, their representatives Y and the letter index of each c; the
     stored c and y are gathered a coordinate at a time."""
     law = inst.ops
-    _, T, Y, c_idx, _ = derived
+    T, Y, c_idx, _ = derived
     dtype = T[0].dtype
     phi_c = tuple(v.take(inst.c_tab) for v in law.phi(_columns(inst, dtype)))
     y = tuple(v.take(inst.y_tab) for v in law.rep_at(np.arange(law.n_reps, dtype=dtype)))
@@ -498,7 +482,8 @@ def coset_scan(inst: NilpotentInstance, word) -> str:
     """Name of the coset representative of the word's image.
 
     The tape machine threads the representative left to right through the
-    action table ``act``, one letter at a time; this reads the same
+    action table ``act``, one letter at a time (``act[x, a]`` is
+    ``y_tab[a, e, x]``, the representative of x*a); this reads the same
     representative off one pair fold of the non-identity letters
     (``_pair_fold``), that of their whole product.
     """

@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .automata import MealyAutomaton, WordLike, inverse_closure
+from .automata import MealyAutomaton, WordLike, _spell, inverse_closure
 from .contraction import ContractionCertificate, _ScanContext, best_certificate, classify_activity, loopify
 from .errors import (
     AutomatonFormatError,
@@ -130,10 +130,7 @@ class TapeWord:
         return sum(len(s) for s in self.segments)
 
     def text(self) -> str:
-        parts = []
-        for seg in self.segments:
-            parts.append("".join(seg) if all(len(t) == 1 for t in seg) else " ".join(seg))
-        return "#".join(parts)
+        return "#".join(map(_spell, self.segments))
 
     def __repr__(self):
         return f"TapeWord({self.text()!r})"

@@ -18,7 +18,8 @@ from autgrp import (
     solve_nilpotent,
     verify_table_closure,
 )
-from autgrp.errors import AutgrpError, UnknownLetter
+from autgrp.automata import _parse_seq
+from autgrp.errors import AutgrpError, AutomatonFormatError, UnknownLetter
 
 
 Z4_LETTERS = [(j,) for j in range(-3, 4)]
@@ -91,6 +92,16 @@ def test_letters_closed_under_inversion(z4):
         NilpotentInstance(z4.ops, [(0,), (1,)])
 
 
+@pytest.mark.parametrize(
+    "letters, problem",
+    [([(1,), (-1,)], "no identity letter"), ([(0, 0)], "has 2 coordinates"), ([("x",)], "must be integers")],
+    ids=["no-identity", "coordinate-count", "non-integer"],
+)
+def test_bad_letter_sets_raise_format_errors(letters, problem):
+    with pytest.raises(AutomatonFormatError, match=problem):
+        instance_with_letters("z4", letters)
+
+
 def test_parse_rejects_unknown(z4):
     with pytest.raises(UnknownLetter):
         z4.parse("aq")
@@ -103,6 +114,49 @@ def test_parse_spellings_agree(heis):
     assert len(heis.parse("")) == len(heis.parse("-")) == 0
     name = next(n for n in heis.letter_names if len(n) > 1)
     assert heis.letter_names[heis.parse(name)[0]] == name
+
+
+def _differential_words(inst, rng):
+    """Valid words in every spelling the instance takes: run-together,
+    space-separated and padded strings, lists of names, Python and numpy
+    ints, and 1-D integer arrays."""
+    names = inst.letter_names
+    one = [n for n in names if len(n) == 1]
+    words = ["", "-", " - ", "\t", [], np.array([], dtype=np.int32)]
+    for _ in range(60):
+        idx = rng.choices(range(len(names)), k=rng.randrange(1, 20))
+        picked = [names[i] for i in idx]
+        run = "".join(rng.choices(one, k=len(idx)))
+        words += [run, " ".join(picked), f"  {run}\n", f"\t{' '.join(picked)} ", picked, idx]
+        words += [[np.int64(i) for i in idx], [np.uint8(i) for i in idx]]
+        words += [np.array(idx, dtype=dtype) for dtype in (np.int8, np.uint16, np.int32, np.int64)]
+    return words
+
+
+def test_parse_matches_the_shared_parser(z4, z2, heis):
+    rng = random.Random(30)
+    for inst in (z4, z2, heis):
+        for word in _differential_words(inst, rng):
+            want = _parse_seq(word, inst.letter_names, inst._name_index, "letter")
+            got = inst.parse(word)
+            assert got.dtype == np.int64 and got.tolist() == list(want), word
+        # a bad word fails with the same letter named either way
+        for word in ("ab q", " aq ", "a-", ["a", "q"], [0, inst.n_letters], [-1]):
+            with pytest.raises(UnknownLetter) as want:
+                _parse_seq(word, inst.letter_names, inst._name_index, "letter")
+            with pytest.raises(UnknownLetter) as got:
+                inst.parse(word)
+            assert got.value.name == want.value.name
+    assert (heis.parse(" ab ") == heis.parse("ab")).all()
+
+
+@pytest.mark.parametrize("bad", [None, 5, 3.5, np.int64(1)], ids=["None", "int", "float", "np.int64"])
+def test_non_words_raise_format_errors(heis, bad):
+    calls = (heis.parse, lambda w: solve_nilpotent(heis, w), lambda w: coset_scan(heis, w), lambda w: halve(heis, w))
+    for call in calls:
+        with pytest.raises(AutomatonFormatError) as err:
+            call(bad)
+        assert type(err.value) is AutomatonFormatError
 
 
 def test_parse_names_first_bad_letter(heis):
