@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import catalog
-from .automata import apply, minimize, section_of_word, serialize_automaton
+from .automata import _spell, apply, minimize, section_of_word, serialize_automaton
 from .contraction import (
     MODES,
     build_certificate,
@@ -175,7 +175,7 @@ def _cmd_dual_section(args) -> int:
     _emit(
         args,
         {"section": list(sec), "image": image},
-        f"section: {' '.join(sec) if sec else '-'}\nimage: {image}",
+        f"section: {_spell(sec) or '-'}\nimage: {image}",
     )
     return 0
 

@@ -1,15 +1,18 @@
 """Halving on coordinate tuples, without numpy: the instance groups' laws, the
 one stage loop of every halving solve, and a solver for short words.
 
-Each group law is written here once.  It multiplies, inverts, applies phi
-and phi^-1, takes right-coset representatives of phi(G) and numbers them, on
-a tuple with one entry per coordinate.  An entry may be a Python int or a
+Each group is one law class here.  It multiplies, inverts, applies phi and
+phi^-1, takes right-coset representatives of phi(G) and numbers them, on a
+tuple with one entry per coordinate.  An entry may be a Python int or a
 numpy array: the same code runs on a single element here and, in
 ``nilpotent``, on whole arrays of elements at once, which is how the dense
-tables are built and checked.  The transition (a, b, x) -> (c, y) is
-y = rep(x a b) and c = phi^-1(x a b y^-1), the entry those tables hold for
-every letter pair and representative; here it is computed on first use and
-memoized per law.
+tables are built and checked.  The class's array folds (``fold``,
+``pair_reps``) and ``seed_letters``, which only the table path reads, use
+ndarray methods, so this module imports no numpy.  The transition
+(a, b, x) -> (c, y) is y = rep(x a b) and c = phi^-1(x a b y^-1), the entry
+those tables hold for every letter pair and representative; here it is
+computed on first use and memoized in the group's one law object
+(``_make_law``), which every solve and instance of the group shares.
 ``run_stages`` is the stage loop.  ``nilpotent.solve_nilpotent`` runs it with
 array folds on long stages and ``_list_fold`` from the first stage under
 ``_LIST_MAX`` live letters; ``solve_short`` runs it with ``_list_fold`` from
@@ -20,6 +23,7 @@ no table.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Optional
 
 from .errors import ClosureFailure, NonTermination, UnknownLetter
@@ -126,6 +130,24 @@ class _AbelianLaw(_Law):
             raise ClosureFailure("element is not in the endomorphism image")
         return tuple(v >> 2 for v in g)
 
+    def fold(self, coords):
+        """Running products g_1, g_1 g_2, ... of an (n, dim) array's rows."""
+        return coords.cumsum(axis=0)
+
+    def pair_reps(self, cols, prefix):
+        """rep_index of each running product, as uint8, from one uint8
+        residue column per coordinate and ``prefix``, the inclusive prefix sum
+        ``nilpotent._prefix_sum``, which wraps mod 256 or 16: exact mod 4."""
+        idx = prefix(cols[0]) & 3
+        for d in range(1, self.dim):
+            idx += (prefix(cols[d]) & 3) << (2 * d)
+        return idx
+
+    def seed_letters(self) -> list[tuple[int, ...]]:
+        # coordinate box of radius 3; the rewrite maps it into the radius-2
+        # box, so the very first verification pass goes through
+        return list(itertools.product(range(-3, 4), repeat=self.dim))
+
 
 class _HeisenbergLaw(_Law):
     """Integer Heisenberg group, (x1,y1,z1)(x2,y2,z2) = (x1+x2, y1+y2, z1+z2+x1*y2),
@@ -165,8 +187,46 @@ class _HeisenbergLaw(_Law):
             raise ClosureFailure("element is not in the endomorphism image")
         return (g[0] >> 2, g[1] >> 2, g[2] >> 4)
 
+    def fold(self, coords):
+        """Running products g_1, g_1 g_2, ... of an (n, 3) array's rows."""
+        out = coords.cumsum(axis=0)
+        x_before = out[:, 0] - coords[:, 0]
+        out[:, 2] = (coords[:, 2] + x_before * coords[:, 1]).cumsum()
+        return out
 
-_ABELIAN = {"z4": (1, 4, [("a", (1,))]), "z2": (2, 16, [("a", (1, 0)), ("b", (0, 1))])}
+    def pair_reps(self, cols, prefix):
+        """rep_index of each running product, as uint8, from one uint8
+        residue column per coordinate and ``prefix``, the inclusive prefix sum
+        ``nilpotent._prefix_sum``.
+
+        Every value wraps mod 256, a multiple of 16, and each prefix sum mod
+        256 or 16.  So all a representative reads stays exact: x mod 16,
+        y mod 4, z's increment x_before * y_pair mod 16, and ``rep``'s
+        z - 4 (x >> 2) y mod 16, as (x mod 256) >> 2 agrees with x >> 2 mod
+        4; 4 (x >> 2) is x & ~3, and ``<< 4`` drops what lies above mod 16.
+        """
+        xs, ys, zs = cols
+        x = prefix(xs)
+        t = (x - xs) * ys
+        t += zs
+        t &= 15  # the packed scan sums values below 16
+        z = prefix(t)
+        y = prefix(ys) & 3
+        return (x & 3) + (y << 2) + ((z - (x & 12) * y) << 4)
+
+    def seed_letters(self) -> list[tuple[int, ...]]:
+        """The identity, the generators and their inverses."""
+        seed = {self.identity}
+        for _, g in self.gens:
+            seed.update((g, self.inverse(g)))
+        return sorted(seed)
+
+
+_LAWS = {
+    "z4": _AbelianLaw("z4", 1, 4, [("a", (1,))]),
+    "z2": _AbelianLaw("z2", 2, 16, [("a", (1, 0)), ("b", (0, 1))]),
+    "heis": _HeisenbergLaw(),
+}
 _KINDS = {"z4": "z4", "z": "z4", "z2": "z2", "z2x4": "z2", "heis": "heis", "heisenberg": "heis"}
 
 
@@ -178,11 +238,10 @@ def _canonical_kind(kind: str) -> str:
     return key
 
 
-def _make_law(kind: str, abelian=_AbelianLaw, heisenberg=_HeisenbergLaw):
-    """The law of z4, z2 or heis under any of their names, as the class given
-    (``nilpotent`` passes its ops, which extend these with array folds)."""
-    kind = _canonical_kind(kind)
-    return heisenberg() if kind == "heis" else abelian(kind, *_ABELIAN[kind])
+def _make_law(kind: str):
+    """The one law object of z4, z2 or heis under any of their names, which
+    ``solve_short`` and every instance of the group share, memo included."""
+    return _LAWS[_canonical_kind(kind)]
 
 
 def _list_fold(law, live: list) -> tuple[tuple[int, ...], Optional[list]]:
@@ -234,11 +293,6 @@ def run_stages(law, n: int, live, fold) -> StepReport:
     return StepReport.of("nilpotent", verdict, n, ledger, detail)
 
 
-@functools.lru_cache(maxsize=None)
-def _shared_law(kind: str):
-    return _make_law(kind)
-
-
 def solve_short(kind: str, word: str) -> Optional[StepReport]:
     """``solve_nilpotent(build_instance(kind), word)`` for ``kind`` z4, z2,
     heis or any alias ``build_instance`` takes, and a word of fewer than
@@ -246,7 +300,7 @@ def solve_short(kind: str, word: str) -> Optional[StepReport]:
     case; None for any other word, which needs the instance's parser
     (whitespace, longer letter names, ``-``).  An unknown kind raises
     UnknownLetter, as ``build_instance`` does."""
-    law = _shared_law(_canonical_kind(kind))
+    law = _make_law(kind)
     if len(word) >= _LIST_MAX:
         return None
     try:

@@ -34,19 +34,19 @@ coordinate tuples in Python through the group law's memoized transitions
 (``halving._list_fold``), where a pair loop costs less than a stage's fixed
 numpy calls.
 
-Each group law is written once, in ``autgrp.halving``, on a tuple with one
-entry per coordinate, and runs unchanged on ints and on arrays: ``_derive``
-runs it on one numpy array per coordinate over every letter pair and
-representative to build the tables, and ``_check_tables`` to check them.
-The ops classes here extend the laws only with what has no scalar form: the
-array fold of a word, the pair fold over residue columns and the seed
-letters.
+Each group is one law class in ``autgrp.halving``, written on a tuple with
+one entry per coordinate, which runs unchanged on ints and on arrays:
+``_derive`` runs it on one numpy array per coordinate over every letter pair
+and representative to build the tables, and ``_check_tables`` to check them.
+The class also holds the array and pair folds and the seed letters, so this
+module adds only the tables and the prefix sums (``_prefix_sum``).  An
+instance's ``ops`` is the group's one law object, ``halving._make_law``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -54,9 +54,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .automata import _parse_seq, _spell
-from .errors import AutomatonFormatError, ClosureFailure, UnknownLetter
-from .halving import _LIST_MAX, _AbelianLaw, _HeisenbergLaw, _canonical_kind, _list_fold, _make_law, run_stages
+from .errors import AutomatonFormatError, BudgetExceeded, ClosureFailure, UnknownLetter
+from .halving import _LIST_MAX, _canonical_kind, _list_fold, _make_law, run_stages
 from .solvers import StepReport
+from .words import DEFAULT_BALL_BUDGET
 
 _CLOSURE_ROUNDS = 12
 _MAX_LETTERS = 4096
@@ -102,76 +103,6 @@ def _prefix_sum(v: np.ndarray) -> np.ndarray:
     if len(v) < _PACKED_MIN:
         return np.add.accumulate(v, dtype=np.uint8)
     return _packed_prefix(v)
-
-
-class _AbelianOps(_AbelianLaw):
-    """The Z^d law with its array fold and pair fold."""
-
-    def fold(self, coords):
-        """Running products g_1, g_1 g_2, ... as an (n, dim) array."""
-        return np.cumsum(coords, axis=0)
-
-    def pair_reps(self, cols):
-        """rep_index of each running product, as uint8, from one uint8
-        residue column per coordinate.
-
-        Each prefix sum (``_prefix_sum``) wraps mod 256 as a byte cumsum, or
-        mod 16 as the packed scan that takes over at ``_PACKED_MIN`` = 2,048
-        values, where the two broke even; both are multiples of 4, so every
-        sum is exact mod 4.  ``solve_nilpotent`` folds stages under
-        ``_LIST_MAX`` = 128 live letters, where a Python loop costs less, as
-        a list instead.
-        """
-        idx = _prefix_sum(cols[0]) & 3
-        for d in range(1, self.dim):
-            idx += (_prefix_sum(cols[d]) & 3) << (2 * d)
-        return idx
-
-    def seed_letters(self) -> list[tuple[int, ...]]:
-        # coordinate box of radius 3; the rewrite maps it into the radius-2
-        # box, so the very first verification pass goes through
-        return list(itertools.product(range(-3, 4), repeat=self.dim))
-
-
-class _HeisenbergOps(_HeisenbergLaw):
-    """The Heisenberg law with its array fold and pair fold."""
-
-    def fold(self, coords):
-        """Running products g_1, g_1 g_2, ... as an (n, 3) array."""
-        out = np.cumsum(coords, axis=0)
-        x_before = out[:, 0] - coords[:, 0]
-        out[:, 2] = np.cumsum(coords[:, 2] + x_before * coords[:, 1])
-        return out
-
-    def pair_reps(self, cols):
-        """rep_index of each running product, as uint8, from one uint8
-        residue column per coordinate.
-
-        Every value wraps mod 256, a multiple of 16, and each prefix sum
-        (``_prefix_sum``) mod 256 as a byte cumsum or mod 16 as the packed
-        scan that takes over at ``_PACKED_MIN`` = 2,048 values, where the two
-        broke even.  So all a representative reads stays exact: x mod 16, y
-        mod 4, z's increment x_before * y_pair mod 16, and ``rep``'s
-        z - 4 (x >> 2) y mod 16, as (x mod 256) >> 2 agrees with x >> 2 mod
-        4; 4 (x >> 2) is x & ~3, and ``<< 4`` drops what lies above mod 16.
-        ``solve_nilpotent`` folds stages under ``_LIST_MAX`` = 128 live
-        letters, where a Python loop costs less, as a list instead.
-        """
-        xs, ys, zs = cols
-        x = _prefix_sum(xs)
-        t = (x - xs) * ys
-        t += zs
-        t &= 15  # the packed scan sums values below 16
-        z = _prefix_sum(t)
-        y = _prefix_sum(ys) & 3
-        return (x & 3) + (y << 2) + ((z - (x & 12) * y) << 4)
-
-    def seed_letters(self) -> list[tuple[int, ...]]:
-        """The identity, the generators and their inverses."""
-        seed = {self.identity}
-        for _, g in self.gens:
-            seed.update((g, self.inverse(g)))
-        return sorted(seed)
 
 
 class TableCheck:
@@ -223,7 +154,10 @@ class NilpotentInstance:
         for c in self.letters:
             if len(c) != ops.dim:
                 raise AutomatonFormatError(f"letter {c} has {len(c)} coordinates, {ops.name} takes {ops.dim}")
-        self.coords = np.asarray(self.letters, dtype=np.int64)
+        try:
+            self.coords = np.asarray(self.letters, dtype=np.int64)
+        except OverflowError:
+            raise AutomatonFormatError("a letter's coordinates must fit in 64-bit integers") from None
         self.coords.flags.writeable = False
         self._coord_index = {c: i for i, c in enumerate(self.letters)}
         if len(self._coord_index) != len(self.letters):
@@ -254,10 +188,7 @@ class NilpotentInstance:
             self.gen_index[gname] = gi
             self.gen_index[gname.upper()] = int(self.inverse_index[gi])
         self.gen_index["e"] = self.e_index
-        self.act = None
-        self.c_tab = None
-        self.y_tab = None
-        self.pair_cols = None
+        self.act = self.c_tab = self.y_tab = self.pair_cols = None
 
     # -- word handling -------------------------------------------------
 
@@ -295,7 +226,7 @@ class NilpotentInstance:
                 raise AutomatonFormatError(f"integer word must be a 1-D array, not shape {word.shape}")
             out = word.astype(np.int64, copy=False)
             if len(out) and not 0 <= out.min() <= out.max() < self.n_letters:  # the first bad letter is named
-                raise UnknownLetter(str(word[np.flatnonzero((out < 0) | (out >= self.n_letters))[0]]))
+                raise UnknownLetter(int(word[np.flatnonzero((out < 0) | (out >= self.n_letters))[0]]))
             return out
         if isinstance(word, str) and word.isascii():
             out = self._byte_index.take(np.frombuffer(word.encode("ascii"), np.uint8))
@@ -316,9 +247,8 @@ class NilpotentInstance:
     def word_value(self, word) -> tuple[int, ...]:
         idxs = self.parse(word)
         if len(idxs) == 0:
-            return tuple(0 for _ in range(self.ops.dim))
-        total = self.ops.fold(np.take(self.coords, idxs, axis=0))[-1]
-        return tuple(int(v) for v in total)
+            return self.ops.identity
+        return tuple(self.ops.fold(self.coords.take(idxs, axis=0))[-1].tolist())
 
     def is_trivial(self, word) -> bool:
         return all(v == 0 for v in self.word_value(word))
@@ -332,17 +262,34 @@ def _letter_index(inst: NilpotentInstance, C) -> np.ndarray:
     slot past its end on each axis, which holds -1.  Each coordinate, offset
     by the box's low corner, is clamped to that slot as an unsigned value (so
     a negative offset clamps too) before the mixed-radix key is formed: an
-    element outside the box reads -1 and can never alias a letter.
+    element outside the box reads -1 and can never alias a letter.  Past
+    ``DEFAULT_BALL_BUDGET`` slots (letters far apart) each axis is read by
+    rank among the letters' values on it instead (``_rank``), and a rank box
+    past that budget raises BudgetExceeded.
     """
-    lo = inst.coords.min(axis=0).tolist()
-    span = (inst.coords.max(axis=0) - lo + 1).tolist()
+    cols = list(inst.coords.T)
+    lo = [int(v.min()) for v in cols]
+    span = [int(v.max()) - low + 1 for v, low in zip(cols, lo)]  # Python ints: no overflow
+    if math.prod(n + 1 for n in span) > DEFAULT_BALL_BUDGET:
+        axes = [np.unique(v) for v in cols]
+        if math.prod(len(u) + 1 for u in axes) > DEFAULT_BALL_BUDGET:
+            raise BudgetExceeded(DEFAULT_BALL_BUDGET, "letter box")
+        cols, C = ([_rank(v, u) for v, u in zip(vs, axes)] for vs in (cols, C))
+        lo, span = [0] * len(axes), [len(u) for u in axes]
     table = np.full([n + 1 for n in span], -1, dtype=np.int64)
-    table[tuple((inst.coords - lo).T)] = np.arange(inst.n_letters)
+    table[tuple(v - low for v, low in zip(cols, lo))] = np.arange(inst.n_letters)
     key = np.zeros(C[0].shape, dtype=np.int64)
     for v, low, n in zip(C, lo, span):
         key *= n + 1
         key += np.minimum((v - low).view(f"u{v.itemsize}"), n).view(v.dtype)
     return table.reshape(-1).take(key)
+
+
+def _rank(v: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Each value's index in the sorted distinct ``axis``, len(axis) if absent."""
+    r = np.searchsorted(axis, v)
+    r[axis.take(r, mode="clip") != v] = len(axis)
+    return r
 
 
 def _columns(inst: NilpotentInstance, dtype) -> tuple[np.ndarray, ...]:
@@ -408,7 +355,7 @@ def build_instance(kind: str) -> NilpotentInstance:
 
 @functools.lru_cache(maxsize=None)
 def _shared_instance(kind: str) -> NilpotentInstance:
-    ops = _make_law(kind, _AbelianOps, _HeisenbergOps)
+    ops = _make_law(kind)
     letters = ops.seed_letters()
     for _ in range(_CLOSURE_ROUNDS):
         inst = NilpotentInstance(ops, letters)
@@ -420,10 +367,7 @@ def _shared_instance(kind: str) -> NilpotentInstance:
                 for table in (inst.act, inst.c_tab, inst.y_tab, inst.inverse_index, *inst.pair_cols):
                     table.flags.writeable = False
                 return inst
-        grown = dict.fromkeys(letters)
-        for c in missing:
-            grown[c] = None
-            grown[ops.inverse(c)] = None
+        grown = set(letters).union(missing, map(ops.inverse, missing))
         if len(grown) > _MAX_LETTERS:
             raise ClosureFailure(f"letter set exceeded {_MAX_LETTERS} elements")
         if len(grown) == len(letters):
@@ -442,7 +386,7 @@ def instance_with_letters(kind: str, letter_coords) -> NilpotentInstance:
     be semantically wrong; run verify_table_closure to find out.  Meant for
     probing verification, not for solving.
     """
-    inst = NilpotentInstance(_make_law(kind, _AbelianOps, _HeisenbergOps), letter_coords)
+    inst = NilpotentInstance(_make_law(kind), letter_coords)
     _fill_tables(inst)
     return inst
 
@@ -511,7 +455,7 @@ def _pair_fold(inst: NilpotentInstance, live: np.ndarray) -> tuple[int, Optional
     if len(live) % 2:
         pair[k - 1] += inst.e_index
     pair[k:] = inst.e_index * (inst.n_letters + 1)
-    reps = inst.ops.pair_reps([col.take(pair) for col in inst.pair_cols])
+    reps = inst.ops.pair_reps([col.take(pair) for col in inst.pair_cols], _prefix_sum)
     x = int(reps[k - 1])
     if x != inst.rep_e:
         return x, None

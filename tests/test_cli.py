@@ -56,8 +56,21 @@ def test_dual_section(capsys):
         "--word", "ad", "--letters", "0",
     )
     assert rc == 0
-    assert "section: e b" in out
+    assert "section: eb" in out
     assert "image: 1" in out
+
+
+def test_dual_section_spells_the_section_as_a_word(capsys):
+    # one-character names run together, as word_str spells them; the empty
+    # section is "-", and the JSON report keeps the list of names
+    rc, out, _ = run(capsys, "dual-section", "--automaton", "grigorchuk", "--word", "ad", "--letters", "0")
+    assert (rc, out) == (0, "section: eb\nimage: 1\n")
+    rc, out, _ = run(capsys, "dual-section", "--automaton", "grigorchuk", "--word", "-", "--letters", "0")
+    assert (rc, out) == (0, "section: -\nimage: 0\n")
+    rc, out, _ = run(
+        capsys, "dual-section", "--automaton", "grigorchuk", "--word", "ad", "--letters", "0", "--report", "json"
+    )
+    assert (rc, json.loads(out)) == (0, {"section": ["e", "b"], "image": "1"})
 
 
 def test_classify(capsys):

@@ -13,13 +13,14 @@ from autgrp import (
     coset_scan,
     halve,
     instance_with_letters,
+    nilpotent,
     random_trivial_word,
     random_word,
     solve_nilpotent,
     verify_table_closure,
 )
 from autgrp.automata import _parse_seq
-from autgrp.errors import AutgrpError, AutomatonFormatError, UnknownLetter
+from autgrp.errors import AutgrpError, AutomatonFormatError, BudgetExceeded, UnknownLetter
 
 
 Z4_LETTERS = [(j,) for j in range(-3, 4)]
@@ -102,6 +103,21 @@ def test_bad_letter_sets_raise_format_errors(letters, problem):
         instance_with_letters("z4", letters)
 
 
+def test_letter_coordinates_the_tables_cannot_hold():
+    with pytest.raises(AutomatonFormatError, match="64-bit"):
+        instance_with_letters("z4", [(0,), (2**63,), (-2**63,)])
+    # a 2^41-slot coordinate box is read by ranks, five slots: 2^40 = phi(2^38),
+    # and 2^38 is no letter
+    far = instance_with_letters("z4", [(0,), (1,), (-1,), (2**40,), (-2**40,)])
+    assert verify_table_closure(far).witnesses[0] == ("e", "a1099511627776", "e")
+    # 1,001 distinct values on each axis: a 1,002^2-slot rank box
+    letters = {(1, 0), (0, 1), (-1, 0), (0, -1), *((i, i) for i in range(-500, 501))}
+    wide = NilpotentInstance(build_instance("z2").ops, sorted(letters))
+    with pytest.raises(BudgetExceeded) as err:
+        nilpotent._letter_index(wide, tuple(wide.coords.T))
+    assert err.value.what == "letter box"
+
+
 def test_parse_rejects_unknown(z4):
     with pytest.raises(UnknownLetter):
         z4.parse("aq")
@@ -141,7 +157,9 @@ def test_parse_matches_the_shared_parser(z4, z2, heis):
             got = inst.parse(word)
             assert got.dtype == np.int64 and got.tolist() == list(want), word
         # a bad word fails with the same letter named either way
-        for word in ("ab q", " aq ", "a-", ["a", "q"], [0, inst.n_letters], [-1]):
+        dtypes = (np.int8, np.uint16, np.int32, np.int64)
+        bad_arrays = [np.array([0, inst.n_letters, 1], dtype=dtype) for dtype in dtypes]
+        for word in ("ab q", " aq ", "a-", ["a", "q"], [0, inst.n_letters], [-1], np.array([-1]), *bad_arrays):
             with pytest.raises(UnknownLetter) as want:
                 _parse_seq(word, inst.letter_names, inst._name_index, "letter")
             with pytest.raises(UnknownLetter) as got:
@@ -361,12 +379,12 @@ def test_word_generators(z4, heis):
 
 def test_integer_words_name_their_first_bad_letter(z4):
     n = z4.n_letters
-    for word, bad in (([0, n, -1], str(n)), ([0, -1, n], "-1"), ([n + 5, 1, n], str(n + 5))):
+    for word, bad in (([0, n, -1], n), ([0, -1, n], -1), ([n + 5, 1, n], n + 5)):
         with pytest.raises(UnknownLetter) as err:
             z4.parse(np.array(word))
         assert err.value.name == bad
     huge = np.array([1, 2**63 + 1], dtype=np.uint64)  # wraps below zero as int64
     with pytest.raises(UnknownLetter) as err:
         z4.parse(huge)
-    assert err.value.name == str(2**63 + 1)
+    assert err.value.name == 2**63 + 1
     assert len(z4.parse(np.array([], dtype=np.int64))) == 0

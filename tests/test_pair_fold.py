@@ -17,7 +17,7 @@ import pytest
 
 from autgrp import NilpotentInstance, halve, nilpotent, solve_nilpotent
 from autgrp.errors import AutomatonFormatError
-from autgrp.nilpotent import _AbelianOps
+from autgrp.halving import _AbelianLaw
 from test_halving_reference import reference_halve_inplace, reference_solve
 
 GENS = {"z4": "aAe", "z2": "aAbBe", "heis": "aAbBcCe"}
@@ -193,7 +193,7 @@ def test_pair_columns_are_read_only_residues(z4, z2, heis):
 
 def test_letters_named_by_generator_coordinates():
     # b is not a unit vector; (0, -1) is no generator's inverse
-    ops = _AbelianOps("t", 2, 16, [("a", (1, 0)), ("b", (1, 1))])
+    ops = _AbelianLaw("t", 2, 16, [("a", (1, 0)), ("b", (1, 1))])
     inst = NilpotentInstance(ops, list(itertools.product((-1, 0, 1), repeat=2)))
     names = dict(zip(inst.letters, inst.letter_names))
     assert (names[(1, 0)], names[(1, 1)], names[(-1, 0)], names[(-1, -1)]) == ("a", "b", "A", "B")

@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from autgrp import build_instance, cli_main, random_trivial_word, random_word, solve_nilpotent
+from autgrp import build_instance, cli_main, instance_with_letters, random_trivial_word, random_word, solve_nilpotent
 from autgrp.errors import NonTermination, UnknownLetter
 from autgrp.halving import _LIST_MAX, _make_law, run_stages, solve_short
 
@@ -77,6 +77,33 @@ def test_every_alias_solves_as_its_instance(alias):
     words += [random_trivial_word(inst, n, rng) for n in range(0, 40, 3)]
     for w in words:
         assert solve_short(alias, w).to_dict() == solve_nilpotent(inst, w).to_dict(), (alias, w)
+
+
+ALIASES = {"z4": ("z4", "z", "Z4"), "z2": ("z2", "z2x4", " Z2X4 "), "heis": ("heis", "heisenberg", "HEIS")}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_law_per_group(kind):
+    law = _make_law(kind)
+    inst = build_instance(kind)
+    for alias in ALIASES[kind]:
+        assert _make_law(alias) is law
+        assert build_instance(alias).ops is law
+        assert instance_with_letters(alias, inst.letters).ops is law
+    # the short path and the list-fold tail of a long solve fill one memo
+    rng = random.Random(f"one-law:{kind}")
+    law.moves.clear()
+    short = random_trivial_word(inst, 40, rng)
+    solve_short(kind, short)
+    seen = dict(law.moves)
+    assert seen
+    solve_nilpotent(inst, short)  # the table path's list fold reads the same memo
+    assert law.moves == seen
+    law.moves.clear()
+    word = random_trivial_word(inst, 4 * _LIST_MAX, rng)
+    live = solve_nilpotent(inst, word).detail["stage_nontrivial"]
+    assert live[0] >= _LIST_MAX and any(0 < k < _LIST_MAX for k in live)
+    assert law.moves  # from the long solve's list-fold tail
 
 
 def test_unknown_kind_is_a_typed_error():
