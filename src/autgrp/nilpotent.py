@@ -258,30 +258,25 @@ def _letter_index(inst: NilpotentInstance, C) -> np.ndarray:
     """Letter index of every element of C, one array per coordinate, -1 where
     the element is no letter.
 
-    One int64 table spans the letter set's coordinate bounding box plus one
-    slot past its end on each axis, which holds -1.  Each coordinate, offset
-    by the box's low corner, is clamped to that slot as an unsigned value (so
-    a negative offset clamps too) before the mixed-radix key is formed: an
-    element outside the box reads -1 and can never alias a letter.  Past
-    ``DEFAULT_BALL_BUDGET`` slots (letters far apart) each axis is read by
-    rank among the letters' values on it instead (``_rank``), and a rank box
-    past that budget raises BudgetExceeded.
+    Each coordinate is read by its rank among the letters' distinct values on
+    that axis (``_rank``), a value that is none of them ranking one past
+    them all; one int64 table over that rank box, -1 in every slot no letter
+    fills, gives the index, so an element off the letters' values can never
+    alias a letter.  A rank box past ``DEFAULT_BALL_BUDGET`` slots raises
+    BudgetExceeded before it is allocated.
     """
     cols = list(inst.coords.T)
-    lo = [int(v.min()) for v in cols]
-    span = [int(v.max()) - low + 1 for v, low in zip(cols, lo)]  # Python ints: no overflow
-    if math.prod(n + 1 for n in span) > DEFAULT_BALL_BUDGET:
-        axes = [np.unique(v) for v in cols]
-        if math.prod(len(u) + 1 for u in axes) > DEFAULT_BALL_BUDGET:
-            raise BudgetExceeded(DEFAULT_BALL_BUDGET, "letter box")
-        cols, C = ([_rank(v, u) for v, u in zip(vs, axes)] for vs in (cols, C))
-        lo, span = [0] * len(axes), [len(u) for u in axes]
-    table = np.full([n + 1 for n in span], -1, dtype=np.int64)
-    table[tuple(v - low for v, low in zip(cols, lo))] = np.arange(inst.n_letters)
+    # not np.unique: its first call imports numpy.ma, about 9 ms of set-up
+    axes = [np.array(sorted(set(v.tolist())), dtype=v.dtype) for v in cols]
+    shape = [len(u) + 1 for u in axes]
+    if math.prod(shape) > DEFAULT_BALL_BUDGET:
+        raise BudgetExceeded(DEFAULT_BALL_BUDGET, "letter box")
+    table = np.full(shape, -1, dtype=np.int64)
+    table[tuple(_rank(v, u) for v, u in zip(cols, axes))] = np.arange(inst.n_letters)
     key = np.zeros(C[0].shape, dtype=np.int64)
-    for v, low, n in zip(C, lo, span):
-        key *= n + 1
-        key += np.minimum((v - low).view(f"u{v.itemsize}"), n).view(v.dtype)
+    for v, u, n in zip(C, axes, shape):
+        key *= n
+        key += _rank(v, u)
     return table.reshape(-1).take(key)
 
 

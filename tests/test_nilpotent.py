@@ -106,7 +106,7 @@ def test_bad_letter_sets_raise_format_errors(letters, problem):
 def test_letter_coordinates_the_tables_cannot_hold():
     with pytest.raises(AutomatonFormatError, match="64-bit"):
         instance_with_letters("z4", [(0,), (2**63,), (-2**63,)])
-    # a 2^41-slot coordinate box is read by ranks, five slots: 2^40 = phi(2^38),
+    # letters 2^40 apart take a five-slot rank box: 2^40 = phi(2^38),
     # and 2^38 is no letter
     far = instance_with_letters("z4", [(0,), (1,), (-1,), (2**40,), (-2**40,)])
     assert verify_table_closure(far).witnesses[0] == ("e", "a1099511627776", "e")
