@@ -6,6 +6,12 @@ in ``sys.modules`` as lazy modules whose code (and numpy, or argparse) loads
 on the first attribute read, and their exported names are served by the
 module ``__getattr__``.  ``autgrp.nilpotent.build_instance`` and
 ``from autgrp import build_instance`` work as for any other module.
+
+A cold process loads only what its command runs.  The report classes are
+``typing.NamedTuple`` classes, as ``typing`` loads anyway; ``fractions``
+loads with the first certificate and ``json`` with the first ``--report
+json``; and ``bench`` loads ``nilpotent`` only when a halving family's row
+runs.
 """
 
 import importlib

@@ -20,7 +20,6 @@ carried branch letter.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import product
 from operator import index, itemgetter
 from typing import Iterable, Sequence, Union
@@ -105,15 +104,32 @@ def _spell(names: Sequence[str]) -> str:
     return "".join(names) if all(len(s) == 1 for s in names) else " ".join(names)
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """Permutation of alphabet indexes; ``then`` composes left to right."""
+    """Permutation of alphabet indexes; ``then`` composes left to right.
+    Immutable: ``image`` is set once, by the constructor."""
 
-    image: tuple[int, ...]
+    __slots__ = ("image",)
 
-    def __post_init__(self):
-        if sorted(self.image) != list(range(len(self.image))):
-            raise AutomatonFormatError(f"not a permutation: {self.image}")
+    def __init__(self, image: tuple[int, ...]):
+        if sorted(image) != list(range(len(image))):
+            raise AutomatonFormatError(f"not a permutation: {image}")
+        object.__setattr__(self, "image", image)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return self.image == other.image if type(other) is Permutation else NotImplemented
+
+    def __hash__(self):
+        return hash(self.image)
+
+    def __repr__(self):
+        return f"Permutation(image={self.image!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not setattr
+        return Permutation, (self.image,)
 
     def __call__(self, i: int) -> int:
         return self.image[i]

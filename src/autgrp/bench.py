@@ -16,20 +16,17 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from . import catalog
 from .contraction import build_certificate
 from .errors import AutomatonFormatError, UnknownLetter
-from .nilpotent import build_instance, random_trivial_word, solve_nilpotent
 from .solvers import StepReport, solve_bounded, solve_polynomial
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     m: int
     n: int
     stages: int
@@ -80,9 +77,11 @@ def _poly1_runner(m: int, seed: int) -> StepReport:
 
 
 def _halving_runner(group: str):
-    # the instance is built on the first run (build_instance is memoized),
-    # so registering the family costs nothing at import
+    # nilpotent loads and the instance is built on the first run
+    # (build_instance is memoized), so registering the family costs nothing
     def run(m: int, seed: int) -> StepReport:
+        from .nilpotent import build_instance, random_trivial_word, solve_nilpotent
+
         inst = build_instance(group)
         rng = random.Random(f"{seed}:{group}:{m}")
         word = random_trivial_word(inst, 2**m, rng)
@@ -179,8 +178,7 @@ def _lower_shape(name: str) -> Optional[str]:
     return _LADDER[i - 1] if i else None
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Two-term nonnegative fits of step counts, one per candidate shape.
 
     Each candidate f is fitted as ``a * f(n) + lower * g(n)`` with g its
@@ -228,17 +226,14 @@ class FitResult:
 
 def _extract_points(rows) -> list[tuple[int, int]]:
     pts = []
-    for row in rows:
-        if isinstance(row, BenchRow):
-            pts.append((row.n, row.steps))
+    for row in rows:  # a BenchRow is a 4-tuple (m, n, stages, steps)
+        seq = tuple(row)
+        if len(seq) == 4:
+            pts.append((int(seq[1]), int(seq[3])))
+        elif len(seq) == 2:
+            pts.append((int(seq[0]), int(seq[1])))
         else:
-            seq = tuple(row)
-            if len(seq) == 4:
-                pts.append((int(seq[1]), int(seq[3])))
-            elif len(seq) == 2:
-                pts.append((int(seq[0]), int(seq[1])))
-            else:
-                raise AutomatonFormatError(f"cannot read (n, steps) from row {row!r}")
+            raise AutomatonFormatError(f"cannot read (n, steps) from row {row!r}")
     return pts
 
 

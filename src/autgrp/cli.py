@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import random
 import sys
@@ -137,6 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, payload: dict, human: str) -> None:
     if getattr(args, "report", None) == "json":
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(human)
@@ -275,6 +276,8 @@ def _cmd_growth(args) -> int:
     curve = lower_bound_curve(gt, range(args.radius + 1))
     full = [(d, gt[d], curve[d][1]) for d in range(args.radius + 1)]
     if args.report == "json":
+        import json
+
         print(json.dumps({"radius": args.radius, "gamma": list(gt.gamma), "rows": full}, indent=2))
     elif args.bound:
         print(csv_text(full, ("n", "gamma", "n_log2_gamma")), end="")

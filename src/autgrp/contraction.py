@@ -20,10 +20,8 @@ ball's size, not ``|S| ** L`` blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .automata import (
     MealyAutomaton,
@@ -121,8 +119,7 @@ class _ScanContext:
         return code // self.ball.size
 
 
-@dataclass(frozen=True)
-class ItemCheck:
+class ItemCheck(NamedTuple):
     """Outcome of one exhaustive or sampled block scan."""
 
     passed: bool
@@ -321,6 +318,8 @@ class ContractionCertificate:
     """
 
     def __init__(self, source, ctx: _ScanContext, mode: Optional[str], shrink_num: int):
+        from fractions import Fraction
+
         self.source = source
         self.closure = ctx.closure
         self.automaton = ctx.automaton
@@ -351,7 +350,7 @@ class ContractionCertificate:
     def stage_ratio(self) -> Fraction:
         """Per-stage length bound: halfway between the table ratio and 1."""
         lam = self.shrink_ratio
-        return lam + Fraction(1 - lam, 2)
+        return lam + (1 - lam) / 2
 
     def _row(self, word: Word) -> tuple:
         """Every branch's (section, next branch code) for one block."""
@@ -599,6 +598,8 @@ def _parse_header(line: str) -> tuple[str, int, int, Fraction]:
     head = line.split()
     if len(head) != 4 or head[0] not in MODES:
         raise AutomatonFormatError("certificate header must be 'mode block power num/den'")
+    from fractions import Fraction
+
     mode = head[0]
     num, _, den = head[3].partition("/")
     try:
@@ -614,8 +615,7 @@ def _parse_header(line: str) -> tuple[str, int, int, Fraction]:
 
 # ---- activity classification ----
 
-@dataclass(frozen=True)
-class ActivityClass:
+class ActivityClass(NamedTuple):
     """Growth class of per-level nontrivial-section counts.
 
     ``bounded`` carries the uniform bound; ``polynomial`` carries the degree

@@ -48,7 +48,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np

@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .automata import MealyAutomaton, WordLike, _spell, inverse_closure
@@ -66,8 +65,7 @@ class StageRecord(NamedTuple):
     table_reads: int = 0
 
 
-@dataclass
-class StepReport:
+class StepReport(NamedTuple):
     """Outcome and cost of one solver run.
 
     ``stage_tape`` holds the tape length (letters plus separators) entering
@@ -86,7 +84,7 @@ class StepReport:
     stages: int
     stage_tape: tuple[int, ...]
     stage_max_segment: tuple[int, ...]
-    detail: dict = field(default_factory=dict)
+    detail: dict
     ledger: tuple[StageRecord, ...] = ()
 
     @classmethod
@@ -416,7 +414,7 @@ def solve_oracle(A: MealyAutomaton, tape: TapeLike, budget: int = DEFAULT_ORACLE
     computed section letter as a step.  Every section word keeps its
     segment's length, so a segment of length l whose walk computes the
     sections of k words costs ``|X| * l * k`` steps.  Raises BudgetExceeded
-    when a segment's closure would grow past ``budget`` words."""
+    when a segment's closure would grow past ``budget`` letters."""
     ic = inverse_closure(A)
     B = ic.automaton
     tape = _ListTape(_parse_tape(ic.parse, tape))

@@ -11,18 +11,16 @@ from __future__ import annotations
 import functools
 import io
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .automata import MealyAutomaton, Word, WordLike, _partition, inverse_closure
 from .errors import AutomatonFormatError, BudgetExceeded, NotInBall
 
-DEFAULT_ORACLE_BUDGET = 2_000_000
+DEFAULT_ORACLE_BUDGET = 2_000_000  # letters in one section closure
 DEFAULT_BALL_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class SectionTable:
+class SectionTable(NamedTuple):
     """All distinct section words reachable from a root word.
 
     ``children[i][x]`` is the index of word i's section at letter x;
@@ -48,9 +46,11 @@ def _closure_walk(A: MealyAutomaton, word: Word, budget: int, known=frozenset(),
     the identity and returns that word's index in place of None; with
     ``tables = (children, perms)`` it covers the whole closure and appends
     each word's child indexes and image tuple.  Words in ``known`` are
-    neither added nor walked.  Raises BudgetExceeded when a new word's index
-    would reach ``budget``.
+    neither added nor walked.  ``budget`` counts stored letters: every
+    section word has the root's length, so BudgetExceeded is raised when a
+    new word would take the closure past ``budget`` letters.
     """
+    cap = budget // max(1, len(word))
     nxt, out = A._next, A._out
     letters = range(len(A.letters))
     ident = list(letters)
@@ -70,7 +70,7 @@ def _closure_walk(A: MealyAutomaton, word: Word, budget: int, known=frozenset(),
             j = index.get(sec)
             if j is None and sec not in known:
                 j = len(words)
-                if j >= budget:
+                if j >= cap:
                     raise BudgetExceeded(budget, "section closure")
                 index[sec] = j
                 words.append(sec)
@@ -84,6 +84,8 @@ def _closure_walk(A: MealyAutomaton, word: Word, budget: int, known=frozenset(),
 
 
 def sections_closure(A: MealyAutomaton, w: WordLike, budget: int = DEFAULT_ORACLE_BUDGET) -> SectionTable:
+    """The whole section closure of ``w``, as a table; raises BudgetExceeded
+    past ``budget`` stored letters."""
     word = A.parse_word(w)
     children, perms = [], []
     words, _ = _closure_walk(A, word, budget, tables=(children, perms))
@@ -110,7 +112,8 @@ def _oracle_memo(A: MealyAutomaton) -> _OracleMemo:
 
 
 def is_identity_oracle(A: MealyAutomaton, w: WordLike, budget: int = DEFAULT_ORACLE_BUDGET) -> bool:
-    """True iff the word acts trivially: no reachable section permutes letters."""
+    """True iff the word acts trivially: no reachable section permutes letters.
+    The closure walked may hold at most ``budget`` letters."""
     word = A.parse_word(w)
     memo = _oracle_memo(A)
     if word in memo.trivial:
@@ -143,6 +146,7 @@ def canonical_key(A: MealyAutomaton, w: WordLike, budget: int = DEFAULT_ORACLE_B
     Keys are equal iff the words define the same transformation: states of
     the transducer are the closure's section words, merged by behavior, then
     numbered breadth-first from the root so the result is deterministic.
+    The closure may hold at most ``budget`` letters.
     """
     children, perms = [], []
     _closure_walk(A, A.parse_word(w), budget, tables=(children, perms))
@@ -566,8 +570,7 @@ def word_length(A: MealyAutomaton, w: WordLike, radius: int, budget: int = DEFAU
     return ball.length[i]
 
 
-@dataclass(frozen=True)
-class GrowthTable:
+class GrowthTable(NamedTuple):
     """gamma[d] = number of distinct elements spelled by words of length <= d."""
 
     label: str

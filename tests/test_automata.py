@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from autgrp import catalog
 from autgrp.automata import (
+    Permutation,
     alphabet_power,
     apply,
     inverse_closure,
@@ -15,6 +18,7 @@ from autgrp.automata import (
     serialize_automaton,
 )
 from autgrp.errors import (
+    AutomatonFormatError,
     DuplicateState,
     MissingTransition,
     NonInvertibleState,
@@ -55,6 +59,18 @@ def test_perm_of_word(grig):
     assert (p(0), p(1)) == (1, 0)
     assert perm_of_word(grig, "b").is_identity
     assert not perm_of_word(grig, "a").is_identity
+
+
+def test_permutation_is_an_immutable_value(grig):
+    p = perm_of_word(grig, "a")
+    assert repr(p) == "Permutation(image=(1, 0))"
+    assert p == Permutation((1, 0)) and hash(p) == hash(Permutation((1, 0))) and p != (1, 0)
+    with pytest.raises(AttributeError):
+        p.image = (0, 1)
+    with pytest.raises(AutomatonFormatError):
+        Permutation((0, 0))
+    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert twin == p and twin.image == (1, 0)
 
 
 def test_apply_frozen_values(grig, adding):

@@ -380,6 +380,30 @@ def test_short_group_solves_load_no_numpy():
     assert lines[6] == "accept method=nilpotent n=128 stages=2 steps=903" and lines[7] == "0 True"
 
 
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["classify", "--automaton", "poly1"], ("dataclasses", "fractions", "json")),
+        (["solve", "--group", "heis", "--word", "ABabC"], ("dataclasses", "fractions", "json")),
+        (["solve", "--automaton", "grigorchuk", "--word", "cdb"], ("dataclasses", "json")),
+        (["bench", "--family", "basilica-ab", "--m-lo", "4", "--m-hi", "5"], ("dataclasses", "autgrp.halving")),
+    ],
+)
+def test_cold_commands_load_only_what_they_run(argv, unloaded):
+    # a fresh process per command: reports are named tuples, fractions
+    # load with the first certificate, json with the first --report json,
+    # and the halving code with the first halving bench row
+    src = os.path.dirname(os.path.dirname(autgrp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import sys, autgrp.cli\n"
+        f"rc = autgrp.cli.cli_main({argv!r})\n"
+        f"print(rc, [m for m in {unloaded!r} if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_lazy_modules_serve_their_names():
     from autgrp.bench import FAMILIES
     from autgrp.nilpotent import build_instance

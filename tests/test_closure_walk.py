@@ -8,10 +8,14 @@ automaton layer used before it was shared.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import autgrp
 from autgrp import catalog
 from autgrp.automata import (
     MealyAutomaton,
@@ -83,24 +87,55 @@ def test_budget_rule_is_shared(name):
     assert words or name in ("trivial", "flip")
     for w in words:
         size = sections_closure(B, w).size
-        sections_closure(B, w, budget=size)
-        canonical_key(B, w, budget=size)
+        # the budget counts stored letters, and every section word has w's length
+        letters = size * len(w)
+        sections_closure(B, w, budget=letters)
+        canonical_key(B, w, budget=letters)
         _oracle_memo.cache_clear()
-        assert is_identity_oracle(B, w, budget=size)
-        report = solve_oracle(B, list(w), budget=size)
+        assert is_identity_oracle(B, w, budget=letters)
+        report = solve_oracle(B, list(w), budget=letters)
         assert report.verdict
         # every walked word is a section word of the segment's own length
         assert report.steps == m * len(w) * size
         calls = (
-            lambda: sections_closure(B, w, budget=size - 1),
-            lambda: canonical_key(B, w, budget=size - 1),
-            lambda: (_oracle_memo.cache_clear(), is_identity_oracle(B, w, budget=size - 1)),
-            lambda: solve_oracle(B, list(w), budget=size - 1),
+            lambda: sections_closure(B, w, budget=letters - 1),
+            lambda: canonical_key(B, w, budget=letters - 1),
+            lambda: (_oracle_memo.cache_clear(), is_identity_oracle(B, w, budget=letters - 1)),
+            lambda: solve_oracle(B, list(w), budget=letters - 1),
         )
         for call in calls:
             with pytest.raises(BudgetExceeded) as err:
                 call()
-            assert (err.value.budget, err.value.what) == (size - 1, "section closure")
+            assert (err.value.budget, err.value.what) == (letters - 1, "section closure")
+
+
+def test_budget_bounds_the_memory_of_long_words():
+    # the lamplighter a = sigma(a, b), b = (a, b) has exponential activity and
+    # no certificate, so solve_auto falls back on the oracle; the closure of
+    # a trivial 128-letter u u^-1 has far more than 2,000,000 / 128 words, and
+    # a budget counted in words let it grow past 2 GB before raising; under a
+    # 512 MB address limit both solvers must raise the typed error within 10 s
+    src = os.path.dirname(os.path.dirname(autgrp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import random, resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, resource.RLIM_INFINITY))\n"
+        "from autgrp.automata import MealyAutomaton\n"
+        "from autgrp.errors import BudgetExceeded\n"
+        "from autgrp.solvers import solve_auto, solve_oracle\n"
+        "A = MealyAutomaton(('0', '1'), ('a', 'b'), [[1, 0], [1, 0]], [[1, 0], [0, 1]])\n"
+        "rng = random.Random(2)\n"
+        "u = ''.join(rng.choice('abAB') for _ in range(64))\n"
+        "for solve in (solve_oracle, solve_auto):\n"
+        "    t = time.perf_counter()\n"
+        "    try:\n"
+        "        solve(A, u + u[::-1].swapcase())\n"
+        "    except BudgetExceeded as e:\n"
+        "        print(e.budget, e.what, time.perf_counter() - t < 10)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["2000000 section closure True"] * 2
 
 
 # ---- the Moore refinement, against the automaton layer's former copy ----
