@@ -2,10 +2,12 @@
 
 ``nilpotent`` and ``bench`` need numpy, and ``cli`` is only for the command
 line, so importing the package does not run them: all three are registered
-in ``sys.modules`` as lazy modules whose code (and numpy, or argparse) loads
-on the first attribute read, and their exported names are served by the
-module ``__getattr__``.  ``autgrp.nilpotent.build_instance`` and
-``from autgrp import build_instance`` work as for any other module.
+in ``sys.modules`` unexecuted, with their ``__file__`` and ``__spec__``, and
+with a module ``__getattr__`` that runs the module's code (and numpy, or
+argparse) on the first read of any other attribute.  The package's
+``__getattr__`` serves their exported names, so
+``autgrp.nilpotent.build_instance`` and ``from autgrp import
+build_instance`` work as for any other module.
 
 A cold process loads only what its command runs.  The report classes are
 ``typing.NamedTuple`` classes, as ``typing`` loads anyway; ``fractions``
@@ -105,13 +107,23 @@ _LAZY = ("nilpotent", "bench", "cli")
 
 
 def _lazy_module(name: str):
-    # registered now, run on first use: code that looks the package's
-    # modules up in sys.modules (perfbench's tracer does) still finds them
+    # registered now, run on first use: sys.modules lookups (perfbench's
+    # tracer) find it, and reading __file__ or __spec__ (inspect.getmodule
+    # does, on every module) runs nothing
     spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
+
+    def __getattr__(attr: str):  # PEP 562: asked only for what the module lacks
+        del module.__getattr__
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:  # run again on the next read
+            module.__getattr__ = __getattr__
+            raise
+        return getattr(module, attr)
+
+    module.__getattr__ = __getattr__
     sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
     return module
 
 

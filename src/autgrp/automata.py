@@ -104,6 +104,12 @@ def _spell(names: Sequence[str]) -> str:
     return "".join(names) if all(len(s) == 1 for s in names) else " ".join(names)
 
 
+def _branch_name(letters: Sequence[str], names: Sequence[str]) -> str:
+    """A branch word over ``letters``: its letter names run together when
+    every letter is one character, else '.'-joined."""
+    return ("" if all(len(x) == 1 for x in letters) else ".").join(names)
+
+
 class Permutation:
     """Permutation of alphabet indexes; ``then`` composes left to right.
     Immutable: ``image`` is set once, by the constructor."""
@@ -473,10 +479,7 @@ def alphabet_power(A: MealyAutomaton, k: int) -> MealyAutomaton:
     if k == 1:
         return A
     secs, outs = _power_tables(A, k)
-    single = all(len(x) == 1 for x in A.letters)
-    letters = [
-        "".join(t) if single else ".".join(t) for t in product(A.letters, repeat=k)
-    ]
+    letters = [_branch_name(A.letters, t) for t in product(A.letters, repeat=k)]
     return MealyAutomaton(letters, A.states, secs, outs, identity=A.identity)
 
 

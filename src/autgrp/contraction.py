@@ -26,6 +26,7 @@ from typing import NamedTuple, Optional
 from .automata import (
     MealyAutomaton,
     Word,
+    _branch_name,
     _power_tables,
     alphabet_power,
     inverse_closure,
@@ -137,8 +138,9 @@ class ItemCheck(NamedTuple):
 
 
 def _branch_str(B: MealyAutomaton, power: int, xcode: int) -> str:
+    """A branch spelled as ``alphabet_power`` names its letters."""
     m = len(B.letters)
-    return B.letters_str(xcode // m**i % m for i in reversed(range(power)))
+    return _branch_name(B.letters, [B.letters[xcode // m**i % m] for i in reversed(range(power))])
 
 
 def _validate_cell(block: int, power: int, mode: Optional[str] = None) -> None:
@@ -473,49 +475,61 @@ def _table_fits(B: MealyAutomaton, block: int, power: int) -> bool:
     return n_enum ** min(block, cap) * len(B.letters) ** min(power, cap) <= DEFAULT_TABLE_BUDGET
 
 
+def _entries(ctx: _ScanContext):
+    """Every identity-free block in enumeration order, as its text and each
+    branch's section text: words are '.'-joined state names, '-' when empty.
+    Each ball element's text is joined once.  ``serialize_certificate``
+    writes these entries, and ``load_certificate`` reads a file against them."""
+    B = ctx.automaton
+    names = [B.states[s] for s in ctx.enum]
+    texts = [".".join([B.states[s] for s in rep]) or "-" for rep in ctx.ball.reps] * ctx.branches
+    for digits, codes in _all_blocks(ctx):
+        yield ".".join([names[d] for d in digits]), list(map(texts.__getitem__, codes))
+
+
 def serialize_certificate(cert: ContractionCertificate) -> str:
     """Text form: header ``mode block power num/den``, then one ``sect:`` line
-    per table entry.  Words are '.'-joined state names, '-' when empty.  The
-    rows are read off the walk and not kept."""
+    per table entry, from ``_entries``.  The rows are read off the walk and
+    not kept."""
     if not cert.eager:
         raise AutomatonFormatError("table is above the eager budget; cannot serialize")
-    B = cert.automaton
-    ctx = cert._ctx
     lam = cert.shrink_ratio
     lines = [f"{cert.mode} {cert.block} {cert.power} {lam.numerator}/{lam.denominator}"]
-    branches = [_branch_str(B, cert.power, x) for x in range(cert.branches)]
-    for digits, codes in _all_blocks(ctx):
-        w = ".".join(B.states[ctx.enum[d]] for d in digits)
-        for xtext, c in zip(branches, codes):
-            wx = ".".join(B.states[s] for s in ctx.rep_of_code(c)) or "-"
-            lines.append(f"sect: {w} {xtext} -> {wx}")
+    branches = [_branch_str(cert.automaton, cert.power, x) for x in range(cert.branches)]
+    for w, secs in _entries(cert._ctx):
+        lines += [f"sect: {w} {x} -> {sec}" for x, sec in zip(branches, secs)]
     return "\n".join(lines) + "\n"
 
 
 def _parse_branch(B: MealyAutomaton, power: int, text: str) -> int:
-    if "." in text:
-        parts = text.split(".")
-    elif all(len(x) == 1 for x in B.letters):
-        parts = list(text)
-    else:
-        parts = [text]
-    if len(parts) != power:
+    """The code of a branch spelled as ``_branch_str`` spells it; one-character
+    letters may also be '.'-joined, and a letter may hold dots itself."""
+    parts = list(text) if "." not in text and all(len(x) == 1 for x in B.letters) else text.split(".")
+    width = 1 + max(x.count(".") for x in B.letters)  # the most parts one letter spans
+    reach = {0: 0}  # parts read -> the code of the letters they spell
+    for _ in range(power):
+        reach = {
+            j: code * len(B.letters) + B._lix[w]
+            for i, code in reach.items()
+            for j in range(i + 1, min(i + width, len(parts)) + 1)
+            if (w := ".".join(parts[i:j])) in B._lix
+        }
+    code = reach.get(len(parts))
+    if code is None and width == 1 and len(parts) == power:
+        raise UnknownLetter(next(p for p in parts if p not in B._lix))
+    if code is None:
         raise AutomatonFormatError(f"branch {text!r} is not {power} letters")
-    code = 0
-    for p in parts:
-        if p not in B._lix:
-            raise UnknownLetter(p)
-        code = code * len(B.letters) + B._lix[p]
     return code
 
 
 def load_certificate(text: str, A: MealyAutomaton) -> ContractionCertificate:
     """Parse a serialized certificate and verify it against A.
 
-    A cell's table is its walk, so the file is checked in one pass over the
-    cell's blocks: each entry against the walk's section, and the blocks
-    themselves against the header's mode and ratio.  What loads is the
-    certificate ``build_certificate`` returns for the header's cell."""
+    A cell's table is its walk, so each file line is looked up in the
+    entries ``serialize_certificate`` writes for the header's cell, and the
+    cell is scanned, as ``build_certificate`` scans it, for the header's mode
+    and ratio.  What loads is the certificate ``build_certificate`` returns
+    for that cell."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -525,17 +539,10 @@ def load_certificate(text: str, A: MealyAutomaton) -> ContractionCertificate:
         raise AutomatonFormatError(f"a ({block}, {power}) table is above the eager budget; no file holds one")
 
     ctx = _ScanContext(A, block, power)
-    B = ctx.automaton
-    R = ctx.branches
-    six = {s: i for i, s in enumerate(B.states)}
-    digit = {B.states[s]: d for d, s in enumerate(ctx.enum)}
-    # an entry sits at its block's place in enumeration order times R plus
-    # its branch code; each block text recurs once per branch, each branch
-    # text once per block: parse every distinct token text once
-    entries = [None] * (len(ctx.enum) ** block * R)
-    blocks = {}  # block text -> the place of its first entry
-    branch_codes = {}  # branch text -> branch code
-    sections = {"-": ()}  # section text -> word
+    B, six = ctx.automaton, ctx.automaton._six
+    index = dict(_entries(ctx))  # block text -> each branch's section text
+    branch_codes = {}  # branch text -> branch code, each text parsed once
+    given = set()  # (block text, branch code) of every entry read
     for ln in lines[1:]:
         if not ln.startswith("sect:"):
             raise AutomatonFormatError(f"unexpected line {ln!r}")
@@ -543,49 +550,29 @@ def load_certificate(text: str, A: MealyAutomaton) -> ContractionCertificate:
         if len(toks) != 4 or toks[2] != "->":
             raise AutomatonFormatError(f"expected 'sect: w x -> w_x', got {ln!r}")
         wtext, xtext, _, otext = toks
-        first = blocks.get(wtext)
-        if first is None:
+        secs = index.get(wtext)
+        if secs is None:
             wtoks = wtext.split(".")
             if any(t not in six for t in wtoks):
                 raise UnknownLetter(wtext, "block word")
             if len(wtoks) != block:
                 raise AutomatonFormatError(f"block {wtext!r} is not {block} letters")
-            if any(t not in digit for t in wtoks):
-                raise AutomatonFormatError(f"block {wtext!r} holds the identity letter")
-            first = 0
-            for t in wtoks:
-                first = first * len(digit) + digit[t]
-            first = blocks[wtext] = first * R
-        xcode = branch_codes.get(xtext)
-        if xcode is None:
-            xcode = branch_codes[xtext] = _parse_branch(B, power, xtext)
-        out_word = sections.get(otext)
-        if out_word is None:
-            otoks = otext.split(".")
-            if any(t not in six for t in otoks):
+            raise AutomatonFormatError(f"block {wtext!r} holds the identity letter")
+        x = branch_codes.get(xtext)
+        if x is None:
+            x = branch_codes[xtext] = _parse_branch(B, power, xtext)
+        if secs[x] != otext:
+            if otext != "-" and any(t not in six for t in otext.split(".")):
                 raise UnknownLetter(otext, "section word")
-            out_word = sections[otext] = tuple(six[t] for t in otoks)
-        if entries[first + xcode] not in (None, out_word):
-            raise AutomatonFormatError(f"entry for ({wtext}, {xtext}) is given twice with different sections")
-        entries[first + xcode] = out_word
-    missing = entries.count(None)
-    if missing:
-        raise AutomatonFormatError(f"certificate has {len(entries) - missing} entries; expected {len(entries)}")
+            if (wtext, x) in given:
+                raise AutomatonFormatError(f"entry for ({wtext}, {xtext}) is given twice with different sections")
+            xtext = _branch_str(B, power, x)
+            raise AutomatonFormatError(f"entry for ({wtext}, {xtext}) does not match the recomputed section")
+        given.add((wtext, x))
+    if len(given) != len(index) * ctx.branches:
+        raise AutomatonFormatError(f"certificate has {len(given)} entries; expected {len(index) * ctx.branches}")
 
-    reps, nb = ctx.ball.reps, ctx.ball.size
-
-    def checked_blocks():  # _all_blocks, each entry matched to the walk as its block goes by
-        at = 0
-        for digits, codes in _all_blocks(ctx):
-            for x, c in enumerate(codes):
-                if entries[at + x] != reps[c % nb]:
-                    w = ".".join(B.states[ctx.enum[d]] for d in digits)
-                    xtext = _branch_str(B, power, x)
-                    raise AutomatonFormatError(f"entry for ({w}, {xtext}) does not match the recomputed section")
-            at += R
-            yield digits, codes
-
-    res = _scan(ctx, (mode,), checked_blocks())[mode]
+    res = _scan_exhaustive(ctx, (mode,))[mode]
     if not res.passed:
         raise AutomatonFormatError(f"block {'.'.join(res.witness)} breaks the header's mode {mode}")
     cert = _package(A, ctx, res)

@@ -94,9 +94,15 @@ class _Law:
 
 
 class _AbelianLaw(_Law):
-    """Z^d with phi = multiplication by 4 and reps {0..3}^d."""
+    """Z^d with phi = multiplication by 4 and reps {0..3}^d.
+
+    ``coord_bound`` is the largest letter coordinate M, in magnitude, whose
+    table build and check stay in int64: x a b and x a b y^-1 are at most
+    2M + 6 in magnitude and the check's phi(c) y at most 4M + 3, so every
+    value stays below 8M = 2^62."""
 
     residue_mask = 3  # a representative reads each coordinate mod 4
+    coord_bound = 2**59
 
     def __init__(self, name, dim, n_reps, gens):
         self.name = name
@@ -151,12 +157,18 @@ class _AbelianLaw(_Law):
 
 class _HeisenbergLaw(_Law):
     """Integer Heisenberg group, (x1,y1,z1)(x2,y2,z2) = (x1+x2, y1+y2, z1+z2+x1*y2),
-    with phi(x, y, z) = (4x, 4y, 16z) and reps {0..3}^2 x {0..15}."""
+    with phi(x, y, z) = (4x, 4y, 16z) and reps {0..3}^2 x {0..15}.
+
+    ``coord_bound`` is the largest letter coordinate M, in magnitude, whose
+    table build and check stay in int64: z picks up x y terms, so x a b has
+    z up to M^2 + 8M + 15, x a b y^-1 up to M^2 + 16M + 40, and the check's
+    phi(c) y is at most 28M + 15; for M = 2^29 all stay below 2M^2 = 2^59."""
 
     name = "heis"
     dim = 3
     n_reps = 256
     residue_mask = 15  # x mod 16 fixes x // 4 mod 4, and z's x_before * y_pair mod 16
+    coord_bound = 2**29
     gens = [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1))]
 
     def product(self, g, h):

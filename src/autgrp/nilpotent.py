@@ -153,10 +153,9 @@ class NilpotentInstance:
         for c in self.letters:
             if len(c) != ops.dim:
                 raise AutomatonFormatError(f"letter {c} has {len(c)} coordinates, {ops.name} takes {ops.dim}")
-        try:
-            self.coords = np.asarray(self.letters, dtype=np.int64)
-        except OverflowError:
-            raise AutomatonFormatError("a letter's coordinates must fit in 64-bit integers") from None
+            if any(abs(v) > ops.coord_bound for v in c):
+                raise AutomatonFormatError(f"letter {c} is past {ops.name}'s bound {ops.coord_bound} for 64-bit tables")
+        self.coords = np.asarray(self.letters, dtype=np.int64)
         self.coords.flags.writeable = False
         self._coord_index = {c: i for i, c in enumerate(self.letters)}
         if len(self._coord_index) != len(self.letters):

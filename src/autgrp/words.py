@@ -595,14 +595,13 @@ def lower_bound_curve(growth_table, n_range: Iterable[int]) -> list[tuple[int, f
 # ---- CSV rows ----
 
 def write_csv(rows, out, header: Sequence[str], seed: Optional[int] = None) -> None:
-    """Write rows (tuples, or objects with ``astuple``) as CSV with an
-    optional leading ``# seed=`` comment."""
+    """Write rows (tuples or other iterables, ``BenchRow`` among them) as CSV
+    with an optional leading ``# seed=`` comment."""
     if seed is not None:
         out.write(f"# seed={seed}\n")
     out.write(",".join(header) + "\n")
     for row in rows:
-        tup = row.astuple() if hasattr(row, "astuple") else tuple(row)
-        out.write(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in tup) + "\n")
+        out.write(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def csv_text(rows, header: Sequence[str], seed: Optional[int] = None) -> str:

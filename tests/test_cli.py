@@ -359,6 +359,30 @@ def test_import_and_solve_load_no_numpy():
     assert lines[2] == "0 False"
 
 
+def test_reading_module_files_runs_no_lazy_module():
+    # inspect.stack() reads __file__ off every module in sys.modules; the
+    # lazy modules answer without running, and a run that fails (numpy
+    # blocked here) leaves the module to run again on the next read
+    src = os.path.dirname(os.path.dirname(autgrp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import inspect, sys, autgrp\n"
+        "inspect.stack()\n"
+        "print([m for m in ('numpy', 'argparse') if m in sys.modules])\n"
+        "lazy = sys.modules['autgrp.nilpotent']\n"
+        "print(lazy.__file__ == lazy.__spec__.origin, 'numpy' in sys.modules)\n"
+        "sys.modules['numpy'] = None\n"
+        "try:\n"
+        "    autgrp.build_instance\n"
+        "except ImportError as exc:\n"
+        "    print(type(exc).__name__)\n"
+        "del sys.modules['numpy']\n"
+        "print(lazy.build_instance('z4').name, autgrp.nilpotent is lazy, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "True False", "ModuleNotFoundError", "z4 True True"]
+
+
 def test_short_group_solves_load_no_numpy():
     # a word under 128 one-character letters is solved on coordinates; a
     # 128-letter word still takes the table path, which needs numpy

@@ -11,6 +11,7 @@ import pytest
 
 from autgrp import NilpotentInstance, build_instance, instance_with_letters, verify_table_closure
 from autgrp import nilpotent
+from autgrp.errors import AutomatonFormatError
 from autgrp.nilpotent import _fill_tables
 
 TABLES = ("act", "c_tab", "y_tab", "inverse_index")
@@ -98,6 +99,37 @@ def test_large_coordinates_match_the_int64_reference(kind, extra):
     want = [index.get(r, inst.e_index) for r in rows]
     assert inst.c_tab.reshape(-1).tolist() == want
     assert not verify_table_closure(inst)
+
+
+@pytest.mark.parametrize(
+    "kind, extra",
+    [
+        ("z4", lambda m: [(m,), (-m,)]),
+        ("heis", lambda m: [(m, 0, m), (-m, 0, -m), (0, m, -m), (0, -m, m), (m, 1, 0), (-m, -1, m)]),
+    ],
+    ids=["z4", "heis"],
+)
+def test_coordinates_at_the_bound_match_the_int64_reference(kind, extra):
+    # at a law's coord_bound every product of the build and check fits in
+    # int64 (heis's z reaches 2^58 here); one past it the letter is refused
+    shared = build_instance(kind)
+    bound = shared.ops.coord_bound
+    inst = NilpotentInstance(shared.ops, list(shared.letters) + extra(bound))
+    missing, _ = _fill_tables(inst)
+    rows = _reference_c(inst)
+    assert missing == sorted(set(rows) - set(inst.letters))
+    index = {c: i for i, c in enumerate(inst.letters)}
+    assert inst.c_tab.reshape(-1).tolist() == [index.get(r, inst.e_index) for r in rows]
+    with pytest.raises(AutomatonFormatError, match=f"past {kind}'s bound {bound} for 64-bit tables"):
+        NilpotentInstance(shared.ops, list(shared.letters) + extra(bound + 1))
+
+
+def test_letters_whose_tables_would_wrap_are_refused():
+    # 2^62 + 2^62 wraps to -2^63 in int64, and the check re-derived the
+    # same wrapped value, so the table stored c = -2^61 for (2^62, 2^62, e)
+    letters = [(0,), (1,), (-1,), (2**61,), (-(2**61),), (2**62,), (-(2**62),)]
+    with pytest.raises(AutomatonFormatError, match="64-bit"):
+        instance_with_letters("z4", letters)
 
 
 def test_rows_outside_the_box_are_no_letter(heis):
