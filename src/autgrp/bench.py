@@ -22,8 +22,9 @@ import numpy as np
 
 from . import catalog
 from .contraction import build_certificate
-from .errors import AutomatonFormatError, UnknownLetter
+from .errors import AutomatonFormatError, BudgetExceeded, UnknownLetter
 from .solvers import StepReport, solve_bounded, solve_polynomial
+from .words import DEFAULT_BALL_BUDGET
 
 
 class BenchRow(NamedTuple):
@@ -137,12 +138,16 @@ def run_bench(
     m_range: Optional[Iterable[int]] = None,
     seed: int = 0,
 ) -> list[BenchRow]:
-    """Run one family over the index range and collect (m, n, stages, steps)."""
+    """Run one family over the index range and collect (m, n, stages, steps).
+    An index with 2**m past ``DEFAULT_BALL_BUDGET`` raises BudgetExceeded
+    before any word is built."""
     if isinstance(family, str):
         family = get_family(family)
     ms = list(family.default_range if m_range is None else m_range)
     if any(m < 0 for m in ms):  # a family's word has about 2**m letters
         raise AutomatonFormatError(f"bench index m must be >= 0, got {min(ms)}")
+    if any(m >= DEFAULT_BALL_BUDGET.bit_length() for m in ms):
+        raise BudgetExceeded(DEFAULT_BALL_BUDGET, "bench index")
     rows = []
     for m in ms:
         rep = family.run(m, seed)

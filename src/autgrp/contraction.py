@@ -19,6 +19,7 @@ ball's size, not ``|S| ** L`` blocks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from random import Random
 from typing import NamedTuple, Optional
@@ -660,7 +661,10 @@ def classify_activity(A: MealyAutomaton) -> ActivityClass:
     read off the literal transition graph of the nontrivial states (Sidki's
     circuit criterion).  Two cycles sharing a state make it exponential;
     otherwise the degree is the number of cycles on the longest chain of
-    cycles minus one, and degree 0 is bounded.
+    cycles minus one, and degree 0 is bounded.  The bound of a bounded
+    automaton is the largest count over |S| * lcm(cycle lengths) levels; a
+    horizon whose level counts, over all nontrivial states, would pass
+    ``DEFAULT_BALL_BUDGET`` raises BudgetExceeded.
     """
     if A.identity is None:
         raise NoIdentityState("classification needs an identity state")
@@ -670,13 +674,26 @@ def classify_activity(A: MealyAutomaton) -> ActivityClass:
     if max_cycles >= 2:
         return ActivityClass("polynomial", degree=max_cycles - 1)
     horizon = len(A.states) * math.lcm(*sizes) if sizes else len(A.states)
-    bound = 0
-    for s in range(len(A.states)):
-        if s == A.identity:
-            continue
-        for n in range(horizon + 1):
-            bound = max(bound, activity_count(A, s, n))
+    nontrivial = [s for s in range(len(A.states)) if s != A.identity]
+    if horizon * len(nontrivial) > DEFAULT_BALL_BUDGET:  # the lcm can be exponential in |S|
+        raise BudgetExceeded(DEFAULT_BALL_BUDGET, "activity horizon")
+    bound = max((max(itertools.islice(_activity_levels(A, s), horizon + 1)) for s in nontrivial), default=0)
     return ActivityClass("bounded", degree=0, bound=bound)
+
+
+def _activity_levels(A: MealyAutomaton, s: int):
+    """Per level n = 0, 1, ...: the number of depth-n branches below which
+    state s still acts, from one level vector walked down once."""
+    ident = A.identity
+    vec = {} if s == ident else {s: 1}
+    while True:
+        yield sum(vec.values())
+        new = {}
+        for st, cnt in vec.items():
+            for t in A._next[st]:
+                if t != ident:
+                    new[t] = new.get(t, 0) + cnt
+        vec = new
 
 
 def activity_count(A: MealyAutomaton, s, n: int) -> int:
@@ -687,16 +704,7 @@ def activity_count(A: MealyAutomaton, s, n: int) -> int:
         raise UnknownLetter(s, "state")
     if n < 0:
         raise AutomatonFormatError("level must be >= 0")
-    ident = A.identity
-    vec = {s: 1}
-    for _ in range(n):
-        new = {}
-        for st, cnt in vec.items():
-            for t in A._next[st]:
-                if t != ident:
-                    new[t] = new.get(t, 0) + cnt
-        vec = new
-    return sum(cnt for st, cnt in vec.items() if st != ident)
+    return next(itertools.islice(_activity_levels(A, s), n, None))
 
 
 def loopify(A: MealyAutomaton) -> tuple[MealyAutomaton, int]:

@@ -59,7 +59,6 @@ from .solvers import StepReport
 from .words import DEFAULT_BALL_BUDGET
 
 _CLOSURE_ROUNDS = 12
-_MAX_LETTERS = 4096
 # Residue arrays from this length up are prefix-summed on packed bytes
 # (``_packed_prefix``), shorter ones by a uint8 cumsum, a scalar loop at
 # about 3 ns a value.  On a 2-vCPU x86 Xeon the two broke even at 2,048
@@ -298,9 +297,12 @@ def _derive(inst: NilpotentInstance):
     coordinates of the c's that are no letter.
 
     The arrays are int32 when the letters' coordinates are small enough for
-    every product to fit.
+    every product to fit.  A cube past ``DEFAULT_BALL_BUDGET`` entries
+    raises BudgetExceeded before it is allocated.
     """
     law = inst.ops
+    if inst.n_letters**2 * law.n_reps > DEFAULT_BALL_BUDGET:
+        raise BudgetExceeded(DEFAULT_BALL_BUDGET, "table cube")
     dtype = np.int32 if np.abs(inst.coords).max() < 2**12 else np.int64
     letters = _columns(inst, dtype)
     x = law.rep_at(np.arange(law.n_reps, dtype=dtype))
@@ -340,8 +342,9 @@ def build_instance(kind: str) -> NilpotentInstance:
     rewrite table lies in it, each round finding the c's letters by a dense
     lookup over the set's coordinate box; only the round that finds them all
     builds the tables, and it verifies them.  Gives up after a bounded number
-    of rounds.  Memoized per kind, aliases included: every caller shares one
-    instance, whose tables are read-only.
+    of rounds, or when a round's letter set makes a table cube past the
+    budget (``_derive``).  Memoized per kind, aliases included: every caller
+    shares one instance, whose tables are read-only.
     """
     return _shared_instance(_canonical_kind(kind))
 
@@ -361,8 +364,6 @@ def _shared_instance(kind: str) -> NilpotentInstance:
                     table.flags.writeable = False
                 return inst
         grown = set(letters).union(missing, map(ops.inverse, missing))
-        if len(grown) > _MAX_LETTERS:
-            raise ClosureFailure(f"letter set exceeded {_MAX_LETTERS} elements")
         if len(grown) == len(letters):
             raise ClosureFailure("table verification failed on a stable letter set")
         letters = sorted(grown)

@@ -328,7 +328,10 @@ def _drive(rw, tape, rules: _Rules) -> StepReport:
 
 
 def _polynomial_cap(n: int, degree: int) -> int:
-    return math.ceil(4 * (math.log2(max(n, 2)) + 1) ** (degree + 1))
+    try:
+        return math.ceil(4 * (math.log2(max(n, 2)) + 1) ** (degree + 1))
+    except OverflowError:
+        raise AutomatonFormatError(f"the stage cap of degree {degree} does not fit a float") from None
 
 
 def _plan(

@@ -99,12 +99,10 @@ class DenseTable:
 
     A unit is a full block, coded base |S| with its first letter most
     significant (identity letters included), or a single tail letter, coded
-    ``|S|**L + letter``.  A cell ``code * branches + x`` holds the row of the
-    unit's representative in the padded table ``reps`` and its length, with
-    tail identities kept or stripped; when no representative is longer than
-    one letter, ``letter`` holds it directly (-1 for the empty word).  Each
-    unit code also carries the id of its branch map in the group those maps
-    generate.
+    ``|S|**L + letter``.  ``spelled`` holds one letter table per strip mode,
+    tail identities kept or stripped: row ``code * branches + x`` is the
+    cell's letters, padded with -1 to the longest.  Each unit code also
+    carries the id of its branch map in the group those maps generate.
     """
 
     def __init__(self, rw, row: np.ndarray, nxt: np.ndarray, reps: list, tail_sec, tail_out):
@@ -120,25 +118,18 @@ class DenseTable:
         self.dtype = np.int16 if n_states < 2**15 else np.int32
         self.cell_dtype = np.int16 if n_cells < 2**15 else np.int32
 
-        index = {rep: i for i, rep in enumerate(reps)}
-        tail_sec = np.asarray(tail_sec, dtype=np.int64).reshape(n_states, R)
-        tail_rows = [[index.setdefault((t,), len(index)) for t in srow] for srow in tail_sec.tolist()]
-        self.row = np.concatenate([row, np.array(tail_rows, dtype=np.int32)]).ravel()
-        reps = list(index)
-        rep_len = np.array([len(r) for r in reps])
-        self.maxlen = maxlen = max(1, int(rep_len.max()))
-        padded = np.zeros((len(reps), maxlen), dtype=self.dtype)
+        self.maxlen = maxlen = max(1, max(map(len, reps), default=0))
+        padded = np.full((len(reps), maxlen), -1, dtype=self.dtype)
         for i, r in enumerate(reps):
             padded[i, : len(r)] = r
-        self.reps = padded.ravel()
-        full = rep_len[self.row].astype(np.uint8 if maxlen < 256 else np.int32)
+        tail_sec = np.asarray(tail_sec, dtype=self.dtype).ravel()
+        full = np.full((n_cells, maxlen), -1, dtype=self.dtype)
+        full[: self.n_codes * R] = padded.take(row.ravel(), axis=0)
+        full[self.n_codes * R :, 0] = tail_sec
         stripped = full.copy()
         if B.identity is not None:
-            stripped[self.n_codes * R :][(tail_sec == B.identity).ravel()] = 0
-        self.length = (full, stripped)
-        if maxlen == 1:
-            first = padded[self.row, 0]
-            self.letter = tuple(np.where(ln > 0, first, -1).astype(self.dtype) for ln in self.length)
+            stripped[self.n_codes * R :, 0][tail_sec == B.identity] = -1
+        self.spelled = (full, stripped)
         self._init_group(np.concatenate([nxt, tail_out]).astype(np.int64))
         self._init_short_walk(rw)
         self._init_byte_index(rw.closure)
@@ -294,18 +285,11 @@ class DenseTable:
         return before
 
     def spell(self, cells: np.ndarray, first: np.ndarray, strip: bool):
-        """The representatives of ``cells`` concatenated, and their total
-        length per segment."""
-        if self.maxlen == 1:
-            out = self.letter[strip].take(cells)
-            nonempty = out >= 0
-            return np.compress(nonempty, out), np.add.reduceat(nonempty, first, dtype=np.int32)
-        lens = self.length[strip].take(cells)
-        rows = self.row.take(cells)
-        starts = np.cumsum(lens, dtype=np.int32) - lens
-        within = np.arange(int(starts[-1]) + int(lens[-1]), dtype=np.int32) - np.repeat(starts, lens)
-        out = self.reps.take(np.repeat(rows, lens) * self.maxlen + within)
-        return out, np.add.reduceat(lens, first, dtype=np.int32)
+        """The letters of ``cells`` concatenated, and their total length
+        per segment."""
+        out = self.spelled[strip].take(cells, axis=0)
+        kept = (out >= 0).ravel()
+        return np.compress(kept, out), np.add.reduceat(kept, first * self.maxlen, dtype=np.int32)
 
 
 def _cert_table(cert: ContractionCertificate) -> Optional[DenseTable]:

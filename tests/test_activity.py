@@ -244,3 +244,41 @@ def test_activity_count_rejects_bad_state_indexes():
             with pytest.raises(UnknownLetter) as err:
                 activity_count(g, bad, n)
             assert str(err.value) == f"unknown state: {bad!r}"
+
+
+def _lcm_cycles(lengths):
+    """Disjoint cycles on the letter 0, every other move to the identity;
+    only each cycle's first state swaps the two letters."""
+    rows = {}
+    for i, n in enumerate(lengths):
+        for j in range(n):
+            rows[f"c{i}_{j}"] = ([f"c{i}_{(j + 1) % n}", "e"], [1, 0] if j == 0 else [0, 1])
+    return _automaton("01", rows)
+
+
+def test_bound_walks_each_state_once():
+    # 18 states: a horizon of 18 * lcm(2, 3, 5, 7) = 3,780 levels, which a
+    # walk from the root for every level took 31 s to cover
+    import time
+
+    A = _lcm_cycles((2, 3, 5, 7))
+    start = time.perf_counter()
+    assert classify_activity(A) == ("bounded", 0, 1)
+    assert time.perf_counter() - start < 2
+    s = A.states.index("c3_0")
+    assert [activity_count(A, s, n) for n in (0, 1, 6, 7, 3780)] == [1, 1, 1, 1, 1]
+
+
+def test_activity_horizon_past_the_budget_raises(tmp_path, capsys):
+    # an 11-cycle more: 28 nontrivial states times 29 * 2310 levels
+    from autgrp import cli_main
+    from autgrp.automata import serialize_automaton
+
+    A = _lcm_cycles((2, 3, 5, 7, 11))
+    with pytest.raises(BudgetExceeded) as err:
+        classify_activity(A)
+    assert err.value.what == "activity horizon"
+    path = tmp_path / "cycles.aut"
+    path.write_text(serialize_automaton(A), encoding="utf-8")
+    assert cli_main(["classify", "--automaton", str(path)]) == 2
+    assert "activity horizon exceeded budget" in capsys.readouterr().err

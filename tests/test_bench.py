@@ -160,3 +160,38 @@ def test_one_distinct_n_is_a_format_error():
     with pytest.raises(AutomatonFormatError, match="two distinct n"):
         fit_complexity([(8, 100), (8, 300)])
     assert fit_complexity([(8, 100), (8, 300), (16, 700)]).winner in DEFAULT_MODELS
+
+
+
+def test_an_index_past_the_budget_is_refused_before_any_word():
+    # 2^36 copies of the base word ran out of memory: the index is refused
+    # from 2^20 copies up, past the ball budget, and the CLI exits 2; under a
+    # 512 MB address limit, as every family's word is built at once
+    import os
+    import subprocess
+    import sys
+
+    import autgrp
+
+    src = os.path.dirname(os.path.dirname(autgrp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import contextlib, io, resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, resource.RLIM_INFINITY))\n"
+        "from autgrp import cli_main, run_bench\n"
+        "from autgrp.errors import BudgetExceeded\n"
+        "for family in ('basilica-ab', 'z4-halving'):\n"
+        "    for m in (20, 36):\n"
+        "        try:\n"
+        "            run_bench(family, [m])\n"
+        "        except BudgetExceeded as e:\n"
+        "            print(e.budget, e.what)\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        rc = cli_main(['bench', '--family', family, '--m-lo', '36', '--m-hi', '36'])\n"
+        "    print(rc, err.getvalue().strip())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    refused = ["1000000 bench index"] * 2 + ["2 error: bench index exceeded budget of 1000000 entries"]
+    assert proc.stdout.splitlines() == refused * 2

@@ -526,3 +526,10 @@ def test_certify_huge_alphabet_power_exits_2_quickly(capsys):
     assert time.perf_counter() - start < 1.0
     assert rc == 2
     assert err.startswith("error:") and "alphabet power exceeded budget" in err
+
+
+def test_polynomial_degree_past_float_range_exits_2(capsys):
+    argv = ("solve", "--automaton", "poly1", "--method", "polynomial", "--degree", "2000", "--word", "babA")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and "degree 2000" in err

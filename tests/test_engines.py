@@ -77,6 +77,9 @@ def plans(grig, basilica, poly1, grig_cert, basilica_cert, basilica_weak_cert):
         "bas-polynomial": S._plan(basilica, "polynomial", basilica_cert, 0),
         "bas-weak": S._plan(basilica, "bounded", basilica_weak_cert),
         "poly1": S._plan(poly1, "polynomial", None, 1),
+        # sections of up to three letters; basilica's branch maps generate a group of order 8
+        "grig6-contracting": S._plan(grig, "contracting", build_certificate(grig, 6, 1, "item1")),
+        "bas4-bounded": S._plan(basilica, "bounded", build_certificate(basilica, 4, 2, "item1")),
     }
 
 
@@ -106,12 +109,12 @@ def test_random_tapes_both_sides_of_the_cutoff(plans):
     rng = random.Random(20261018)
     results = []
     for _ in range(12):
-        for name in ("grig-contracting", "grig-bounded", "grig-polynomial"):
+        for name in ("grig-contracting", "grig-bounded", "grig-polynomial", "grig6-contracting"):
             tape = random_tape(rng, grig_trivial, lengths)
             results.append(assert_engines_agree(plans[name], tape))
             tape = random_tape(rng, lambda r, n: "".join(r.choices("abcde", k=n)), lengths)
             results.append(assert_engines_agree(plans[name], tape))
-        for name in ("bas-bounded", "bas-contracting", "bas-polynomial", "bas-weak"):
+        for name in ("bas-bounded", "bas-contracting", "bas-polynomial", "bas-weak", "bas4-bounded"):
             tape = random_tape(rng, lambda r, n: free_trivial(r, n, "abABe"), lengths)
             results.append(assert_engines_agree(plans[name], tape))
             tape = random_tape(rng, lambda r, n: "".join(r.choices("abABe", k=n)), lengths)
@@ -316,6 +319,44 @@ def test_unit_cut_matches_per_segment_reference(cert_name, request):
         assert code.dtype == table.cell_dtype, shape
         assert code.tolist() == want_code, shape
         assert units.dtype == lens.dtype and units.tolist() == want_units, shape
+
+
+# the reset rule's literal tables and certificate cells, three of them with
+# sections of two or three letters
+SPELLING_TABLES = {
+    "poly1-reset": ("poly1", None),
+    "basilica-reset": ("basilica", None),
+    "grigorchuk-reset": ("grigorchuk", None),
+    "adding-reset": ("adding", None),
+    "grig-2-1": ("grigorchuk", (2, 1, "item1")),
+    "grig-6-1": ("grigorchuk", (6, 1, "item1")),
+    "bas-1-1": ("basilica", (1, 1, "item2")),
+    "bas-3-2": ("basilica", (3, 2, "item1")),
+    "bas-4-2": ("basilica", (4, 2, "item1")),
+}
+
+
+@pytest.mark.parametrize("case", SPELLING_TABLES)
+def test_every_cell_spells_its_walk(case):
+    # a block cell spells its row's section, a tail cell its letter's
+    # section letter, dropped when stripped and the identity
+    name, cell = SPELLING_TABLES[case]
+    A = autgrp.catalog.get(name)
+    rw = S._literal_sections(A) if cell is None else build_certificate(A, *cell)
+    table = V.dense_table(rw)
+    n, L, R = table.n_states, table.block, table.branches
+    seck, identity = rw._ctx.seck, rw.automaton.identity
+    for strip in (False, True):
+        for c in range((table.n_codes + n) * R):
+            code, x = divmod(c, R)
+            if code < table.n_codes:
+                block = tuple(code // n ** (L - 1 - d) % n for d in range(L))
+                want = list(rw._row(block)[x][0])
+            else:
+                sec = seck[code - table.n_codes][x]
+                want = [] if strip and sec == identity else [sec]
+            got = table.spell(np.array([c]), np.array([0]), strip)[0]
+            assert got.tolist() == want, (c, strip)
 
 
 def test_long_solves_finish_on_the_python_tape(grig, grig_cert, monkeypatch):

@@ -224,13 +224,21 @@ def test_solve_polynomial_needs_an_identity_state():
         solve_polynomial(lamplighter, 0, "ab")
 
 
-# sha1 of the reset-rule solver's dense table arrays, computed when the
-# table was its own rewriter type over the flattened automaton
+def test_solve_polynomial_refuses_a_cap_past_float_range(poly1):
+    from autgrp.errors import AutomatonFormatError
+
+    with pytest.raises(AutomatonFormatError, match="degree 1000000"):
+        solve_polynomial(poly1, 10**6, "babA")
+
+
+# sha1 of the reset-rule solver's dense table arrays over the flattened
+# automaton: each cell's letters in both strip modes, the branch group and
+# the byte index
 RESET_TABLE_SHA1 = {
-    "poly1": "ec42d3de3ac0c3b07b28642234d4eb9475c5a89a",
-    "basilica": "3bdbf7c960f89d8c44a45bb7323dd150185e379e",
-    "grigorchuk": "c2f473221dff23aa72e9964ef177ab21d79cf8ba",
-    "adding": "d25f80ff984944af63a9d83dc57596215fe3f201",
+    "poly1": "f7d576a609a002f3272a3c274cd577d488adcfbb",
+    "basilica": "e88e5be4f0e0a88867ed5a0508caa6c7a2e072a6",
+    "grigorchuk": "9411d9576fbae44f5b332440261624b38dd03c52",
+    "adding": "5bcdbb19e79a7ac6cbdeef752b6c0ca79e3fb6bd",
 }
 
 
@@ -246,7 +254,7 @@ def test_reset_rule_tables_are_pinned(name):
     assert rw.mode is None and (rw.block, rw.power) == (1, 1)
     t = vectorized.dense_table(rw)
     h = hashlib.sha1()
-    for a in (t.row, t.reps, *t.length, *getattr(t, "letter", ()), t.unit_gid, t.prod, t.image_t, t.byte_index):
+    for a in (*t.spelled, t.unit_gid, t.prod, t.image_t, t.byte_index):
         a = np.ascontiguousarray(a)
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(a.tobytes())

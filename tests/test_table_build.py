@@ -141,3 +141,29 @@ def test_rows_outside_the_box_are_no_letter(heis):
             assert (nilpotent._letter_index(heis, tuple(rows.T)) == -1).all(), (d, v)
     got = nilpotent._letter_index(heis, tuple(heis.coords.T.astype(np.int32)))
     assert got.tolist() == list(range(heis.n_letters))
+
+
+def test_a_table_cube_past_the_budget_is_refused_before_allocation():
+    # 5,001 z4 letters make a 5001 x 5001 x 4 cube, 382 MiB per coordinate:
+    # refused before any is allocated, under a 512 MB address limit
+    import os
+    import subprocess
+    import sys
+
+    import autgrp
+
+    src = os.path.dirname(os.path.dirname(autgrp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, resource.RLIM_INFINITY))\n"
+        "from autgrp import instance_with_letters\n"
+        "from autgrp.errors import BudgetExceeded\n"
+        "try:\n"
+        "    instance_with_letters('z4', [(k,) for k in range(-2500, 2501)])\n"
+        "except BudgetExceeded as e:\n"
+        "    print(e.budget, e.what)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1000000 table cube"]
