@@ -330,6 +330,8 @@ class ContractionCertificate:
         self.block = ctx.block
         self.power = ctx.power
         self.shrink_ratio = Fraction(shrink_num, ctx.block)
+        # the stage cap's divisor, log2(1 / stage_ratio), read on every solve
+        self.stage_bits = math.log2(1.0 / float(self.stage_ratio))
         self._ctx = ctx
         self._memo = {}  # block word -> row, filled as blocks are read
         self.table_reads = 0  # branches times blocks rewritten, added by solvers._drive
@@ -662,32 +664,47 @@ def classify_activity(A: MealyAutomaton) -> ActivityClass:
     circuit criterion).  Two cycles sharing a state make it exponential;
     otherwise the degree is the number of cycles on the longest chain of
     cycles minus one, and degree 0 is bounded.  The bound of a bounded
-    automaton is the largest count over |S| * lcm(cycle lengths) levels; a
-    horizon whose level counts, over all nontrivial states, would pass
-    ``DEFAULT_BALL_BUDGET`` raises BudgetExceeded.
+    automaton is the largest level count below any nontrivial state.  A
+    state's level vector fixes every later one, so its walk stops once a
+    vector repeats, found by Brent's cycle detection, which keeps two
+    vectors; walks whose vectors hold more than ``DEFAULT_BALL_BUDGET``
+    entries in all raise BudgetExceeded.
     """
     if A.identity is None:
         raise NoIdentityState("classification needs an identity state")
-    exponential, sizes, max_cycles = _cycle_structure(A)
+    exponential, _, max_cycles = _cycle_structure(A)
     if exponential:
         return ActivityClass("exponential")
     if max_cycles >= 2:
         return ActivityClass("polynomial", degree=max_cycles - 1)
-    horizon = len(A.states) * math.lcm(*sizes) if sizes else len(A.states)
-    nontrivial = [s for s in range(len(A.states)) if s != A.identity]
-    if horizon * len(nontrivial) > DEFAULT_BALL_BUDGET:  # the lcm can be exponential in |S|
-        raise BudgetExceeded(DEFAULT_BALL_BUDGET, "activity horizon")
-    bound = max((max(itertools.islice(_activity_levels(A, s), horizon + 1)) for s in nontrivial), default=0)
+    bound = walked = 0
+    for s in range(len(A.states)):
+        if s == A.identity:
+            continue
+        levels = _activity_levels(A, s)
+        tortoise = next(levels)
+        bound = max(bound, sum(tortoise.values()))
+        power = lam = 1
+        for hare in levels:
+            walked += len(hare)
+            if walked > DEFAULT_BALL_BUDGET:  # a vector's period can be exponential in |S|
+                raise BudgetExceeded(DEFAULT_BALL_BUDGET, "activity horizon")
+            bound = max(bound, sum(hare.values()))
+            if hare == tortoise:
+                break
+            if power == lam:
+                tortoise, power, lam = hare, 2 * power, 0
+            lam += 1
     return ActivityClass("bounded", degree=0, bound=bound)
 
 
 def _activity_levels(A: MealyAutomaton, s: int):
-    """Per level n = 0, 1, ...: the number of depth-n branches below which
-    state s still acts, from one level vector walked down once."""
+    """Per level n = 0, 1, ...: the depth-n branches below which state s
+    still acts, as one {state: count} vector per level, walked down once."""
     ident = A.identity
     vec = {} if s == ident else {s: 1}
     while True:
-        yield sum(vec.values())
+        yield vec
         new = {}
         for st, cnt in vec.items():
             for t in A._next[st]:
@@ -704,7 +721,7 @@ def activity_count(A: MealyAutomaton, s, n: int) -> int:
         raise UnknownLetter(s, "state")
     if n < 0:
         raise AutomatonFormatError("level must be >= 0")
-    return next(itertools.islice(_activity_levels(A, s), n, None))
+    return sum(next(itertools.islice(_activity_levels(A, s), n, None)).values())
 
 
 def loopify(A: MealyAutomaton) -> tuple[MealyAutomaton, int]:

@@ -16,11 +16,12 @@ engines supply the tape and its phases (drop the short segments, rewrite
 the rest), so they report identical counts.  The Python tape here holds one
 list per segment; the array tape of ``vectorized`` runs each phase as numpy
 passes over the whole tape.  The engine is chosen per stage: the array
-engine takes certificates whose table is dense over every block on tapes
-of at least ``_VECTOR_MIN_LETTERS`` letters, and hands the tape to the
-Python loop for the rest of the solve once a stage leaves it shorter;
-everything else, certificates above the table budget included, stays on
-the Python tape from the start.
+engine takes tapes of at least ``_VECTOR_MIN_LETTERS`` letters for every
+certificate whose table cells fit int32 and whose branch maps generate at
+most 256 permutations (a table above the budget is filled with the blocks
+its tapes meet), and hands the tape to the Python loop for the rest of the
+solve once a stage leaves it shorter; everything else stays on the Python
+tape from the start.
 
 Every staged solver reads a ``ContractionCertificate``'s table.  The
 reset-rule solver without a certificate builds its own, of block 1 and
@@ -157,8 +158,7 @@ def _contracting_cap(cert: ContractionCertificate, n: int) -> int:
     if cert.mode == "item2":
         # the weak mode has no proven per-stage shrink factor; hard cap
         return math.ceil(4 * (ln + 1) ** 2)
-    lam = float(cert.stage_ratio)
-    return math.ceil(ln / math.log2(1.0 / lam)) + 8
+    return math.ceil(ln / cert.stage_bits) + 8
 
 
 def mx_step(cert: ContractionCertificate, x: int, w: WordLike) -> tuple[str, ...]:
@@ -224,10 +224,10 @@ def _long_tape(tape: TapeLike) -> bool:
 
 
 def _run_stages(rw, rules: _Rules, tape: TapeLike) -> StepReport:
-    """Pick the engine: the array engine for dense tables on tapes of at
-    least ``_VECTOR_MIN_LETTERS`` letters, until a stage leaves fewer, and
-    the Python tape otherwise.  A solve that starts on the Python tape stays
-    there, however long its tape grows."""
+    """Pick the engine: the array engine, when the rewriter has a table,
+    on tapes of at least ``_VECTOR_MIN_LETTERS`` letters, until a stage
+    leaves fewer, and the Python tape otherwise.  A solve that starts on
+    the Python tape stays there, however long its tape grows."""
     if _long_tape(tape):
         from . import vectorized
 

@@ -5,9 +5,13 @@ The tape is one letter array plus an array of segment lengths.  The
 rewrite phase cuts the kept segments into units (full blocks and tail
 letters), composes their branch maps by a prefix scan over the whole tape,
 rejects on a segment whose map is not the identity, and spells each
-branch's output from a dense table of every unit and branch, branch by
-branch so that temporaries stay one unit array wide.  Steps and table
-reads are counted once, by ``solvers._drive``, for both engines.
+branch's output from a table of units and branches, branch by branch so
+that temporaries stay one unit array wide.  A table within
+``DEFAULT_TABLE_BUDGET`` holds every unit from its build; a larger one,
+whose cells still fit int32, holds the units rewrites have met, found
+through a sorted code index, and walks the block codes it lacks when a
+rewrite meets them.  Steps and table reads are counted once, by
+``solvers._drive``, for both engines.
 
 Gathers go through ``take`` and selections through ``compress``: on the
 int16 index arrays and data-dependent masks of a stage, subscripting was
@@ -36,6 +40,8 @@ from .solvers import _VECTOR_MIN_LETTERS, TapeLike, _ListTape, _parse_tape, _Rul
 # Branch maps compose through the product table of the permutation group
 # they generate; a larger group keeps its certificate on the Python tape.
 _MAX_BRANCH_GROUP = 256
+# Unit codes times branches must fit int32; past that no table is built.
+_MAX_CELLS = 2**31 - 1
 
 # glibc malloc thresholds, fixed at the ceilings its dynamic thresholds
 # grow to on 64-bit hosts: arrays below 32 MiB come from the heap, and up
@@ -95,17 +101,25 @@ def _prefix_parity(flags: np.ndarray) -> np.ndarray:
 
 
 class DenseTable:
-    """A rewriter's table in array form, over every unit code and branch.
+    """A rewriter's table in array form: one row per unit code it holds, in
+    code order, and one cell per row and branch.
 
     A unit is a full block, coded base |S| with its first letter most
     significant (identity letters included), or a single tail letter, coded
     ``|S|**L + letter``.  ``spelled`` holds one letter table per strip mode,
-    tail identities kept or stripped: row ``code * branches + x`` is the
-    cell's letters, padded with -1 to the longest.  Each unit code also
-    carries the id of its branch map in the group those maps generate.
+    tail identities kept or stripped: cell ``row * branches + x`` is the
+    section of the row's unit on branch x, padded with -1 to the longest.
+    Each row also carries the id of its unit's branch map in the group those
+    maps generate.
+
+    A table built ``whole`` holds every code, so a code is its own row and
+    ``keys`` is None.  Otherwise ``keys`` lists the codes held: the tail
+    units from the start, and each block code from the first rewrite that
+    meets it, which ``rows`` walks and inserts.
     """
 
-    def __init__(self, rw, row: np.ndarray, nxt: np.ndarray, reps: list, tail_sec, tail_out):
+    def __init__(self, rw, whole: bool):
+        ctx = rw._ctx
         B = rw.automaton
         n_states = len(B.states)
         R = rw.branches
@@ -113,32 +127,33 @@ class DenseTable:
         self.block = rw.block
         self.branches = R
         self.n_states = n_states
-        self.n_codes = len(row)
+        self.n_codes = n_states**rw.block
         n_cells = (self.n_codes + n_states) * R
         self.dtype = np.int16 if n_states < 2**15 else np.int32
         self.cell_dtype = np.int16 if n_cells < 2**15 else np.int32
+        self._reps, self._nb = ctx.ball.reps, ctx.ball.size
+        self._trans = np.array([ctx.trans[s] for s in range(n_states)], dtype=np.int32)
 
-        self.maxlen = maxlen = max(1, max(map(len, reps), default=0))
-        padded = np.full((len(reps), maxlen), -1, dtype=self.dtype)
-        for i, r in enumerate(reps):
-            padded[i, : len(r)] = r
-        tail_sec = np.asarray(tail_sec, dtype=self.dtype).ravel()
-        full = np.full((n_cells, maxlen), -1, dtype=self.dtype)
-        full[: self.n_codes * R] = padded.take(row.ravel(), axis=0)
-        full[self.n_codes * R :, 0] = tail_sec
-        stripped = full.copy()
+        tails = np.asarray(ctx.seck, dtype=self.dtype).reshape(-1, 1)
+        stripped = tails.copy()
         if B.identity is not None:
-            stripped[self.n_codes * R :, 0][tail_sec == B.identity] = -1
-        self.spelled = (full, stripped)
-        self._init_group(np.concatenate([nxt, tail_out]).astype(np.int64))
+            stripped[tails == B.identity] = -1
+        self.spelled = (tails, stripped)
+        self.maxlen = 1
+        self.keys = np.arange(self.n_codes, self.n_codes + n_states, dtype=self.cell_dtype)
+        self._init_group(ctx.outk)
         self._init_short_walk(rw)
         self._init_byte_index(rw.closure)
+        if whole and self.group_order <= _MAX_BRANCH_GROUP:
+            self._fill(np.arange(self.n_codes))
+            self.keys = self._trans = None
 
-    def _init_group(self, maps: np.ndarray) -> None:
-        """Close the branch maps under composition and number the group:
-        id 0 is the identity; ``prod[a * G + b]`` is "a, then b"."""
+    def _init_group(self, tail_maps: list) -> None:
+        """Close the tail units' branch maps, which generate every unit's,
+        under composition and number the group: id 0 is the identity;
+        ``prod[a * G + b]`` is "a, then b"."""
         R = self.branches
-        gens = {tuple(m) for m in maps[self.n_codes :].tolist()}
+        gens = {tuple(m) for m in tail_maps}
         ident = tuple(range(R))
         elems = {ident: 0}
         todo = [ident]
@@ -152,12 +167,55 @@ class DenseTable:
         self.group_order = G = len(elems)
         if G > _MAX_BRANCH_GROUP:
             return
-        self.unit_gid = np.array([elems[m] for m in map(tuple, maps.tolist())], dtype=np.uint8)
+        self._elems = elems
+        self.unit_gid = np.array([elems[tuple(m)] for m in tail_maps], dtype=np.uint8)
         img = list(elems)
         self.prod = np.array(
             [elems[tuple(b[v] for v in a)] for a in img for b in img], dtype=np.int16
         )
         self.image_t = np.array(img, dtype=self.cell_dtype).T.copy()  # image_t[x, g] = g(x)
+
+    def _fill(self, codes: np.ndarray) -> None:
+        """Insert the rows of block ``codes``, ascending and none held yet:
+        the walk of each through the certificate's ball, every branch at
+        once, as ``ContractionCertificate.sections`` reads it."""
+        n, L, R, nb = self.n_states, self.block, self.branches, self._nb
+        cur = np.tile(np.arange(R, dtype=np.int32) * nb, (len(codes), 1))
+        for d in range(L):
+            cur = self._trans[(codes // n ** (L - 1 - d) % n)[:, None], cur]
+        elem = (cur % nb).ravel()
+        used = np.zeros(nb, dtype=bool)
+        used[elem] = True
+        used = np.flatnonzero(used)
+        remap = np.zeros(nb, dtype=np.int32)
+        remap[used] = np.arange(len(used))
+        reps = [self._reps[e] for e in used.tolist()]
+        width = max(1, max(map(len, reps)))
+        if width > self.maxlen:
+            pad = ((0, 0), (0, width - self.maxlen))
+            self.spelled = tuple(np.pad(t, pad, constant_values=-1) for t in self.spelled)
+            self.maxlen = width
+        padded = np.full((len(reps), self.maxlen), -1, dtype=self.dtype)
+        for i, r in enumerate(reps):
+            padded[i, : len(r)] = r
+        cells = padded.take(remap.take(elem), axis=0)
+        gid = np.array([self._elems[m] for m in map(tuple, (cur // nb).tolist())], dtype=np.uint8)
+        at = self.keys.searchsorted(codes)
+        self.spelled = tuple(_insert(t, np.repeat(at * R, R), cells) for t in self.spelled)
+        self.unit_gid = _insert(self.unit_gid, at, gid)
+        self.keys = _insert(self.keys, at, codes)
+
+    def rows(self, code: np.ndarray) -> np.ndarray:
+        """The row of each unit code, first filling the rows of block codes
+        not held: the codes themselves on a table built whole."""
+        if self.keys is None:
+            return code
+        at = self.keys.searchsorted(code)  # the tail codes, largest of all, are always held
+        new = self.keys.take(at) != code
+        if new.any():
+            self._fill(np.unique(code.compress(new)))
+            at = self.keys.searchsorted(code)
+        return at.astype(self.cell_dtype)
 
     def _init_short_walk(self, rw) -> None:
         """``step[element, letter]``: the ball walk of segments shorter than
@@ -292,40 +350,29 @@ class DenseTable:
         return np.compress(kept, out), np.add.reduceat(kept, first * self.maxlen, dtype=np.int32)
 
 
+def _insert(held: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``np.insert`` along the first axis; a concatenation when every new
+    entry goes first, as in a table built whole."""
+    return np.concatenate((new, held)) if at[-1] == 0 else np.insert(held, at, new, axis=0)
+
+
 def _cert_table(cert: ContractionCertificate) -> Optional[DenseTable]:
-    """Dense table of a certificate whose every block code over all |S|
-    states fits the table budget: the ball walk of every block code, as
-    ``ContractionCertificate.sections`` reads it."""
-    ctx = cert._ctx
-    n_states = len(cert.automaton.states)
-    L, R = cert.block, cert.branches
-    n_codes = n_states**L
-    if n_codes * R > DEFAULT_TABLE_BUDGET:
+    """The table of a certificate whose cells fit int32 and whose branch
+    maps generate at most ``_MAX_BRANCH_GROUP`` permutations: built whole
+    when every block code times the branches fits ``DEFAULT_TABLE_BUDGET``,
+    and filled as rewrites meet block codes otherwise."""
+    n_codes = len(cert.automaton.states) ** cert.block
+    if (n_codes + len(cert.automaton.states)) * cert.branches > _MAX_CELLS:
         return None
-    nb = ctx.ball.size
-    trans = np.array([ctx.trans[s] for s in range(n_states)], dtype=np.int32)
-    codes = np.arange(n_codes)
-    cur = np.tile(np.arange(R, dtype=np.int32) * nb, (n_codes, 1))
-    for d in range(L):
-        cur = trans[(codes // n_states ** (L - 1 - d) % n_states)[:, None], cur]
-    elem = cur % nb
-    used = np.zeros(nb, dtype=bool)
-    used[elem] = True
-    used = np.flatnonzero(used)
-    remap = np.zeros(nb, dtype=np.int32)
-    remap[used] = np.arange(len(used))
-    reps = [ctx.ball.reps[e] for e in used.tolist()]
-    return DenseTable(cert, remap[elem], cur // nb, reps, ctx.seck, ctx.outk)
+    table = DenseTable(cert, whole=n_codes * cert.branches <= DEFAULT_TABLE_BUDGET)
+    return table if table.group_order <= _MAX_BRANCH_GROUP else None
 
 
 def dense_table(rw) -> Optional[DenseTable]:
-    """The rewriter's dense table, built on first use and kept on the
-    rewriter; None when the table is too large or its branch group too
-    big."""
+    """The rewriter's table, built on first use and kept on the rewriter;
+    None when its cells pass int32 or its branch group is too big."""
     if rw.dense_table is None:
-        table = _cert_table(rw)
-        usable = table is not None and table.group_order <= _MAX_BRANCH_GROUP
-        rw.dense_table = table if usable else False
+        rw.dense_table = _cert_table(rw) or False
     return rw.dense_table or None
 
 
@@ -378,6 +425,7 @@ class _ArrayTape:
         spelled one at a time, so temporaries stay one unit array wide."""
         table, letters, lens = self.table, self.array, self.lens
         code, units = table.units(letters, lens)
+        code = table.rows(code)
         last = np.cumsum(units) - 1
         before = table.branch_prefix(code, last)
         if before is None:

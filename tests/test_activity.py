@@ -269,16 +269,55 @@ def test_bound_walks_each_state_once():
     assert [activity_count(A, s, n) for n in (0, 1, 6, 7, 3780)] == [1, 1, 1, 1, 1]
 
 
+def test_each_walk_stops_at_its_first_repeated_vector():
+    # an 11-cycle more: each state's level vector repeats within 11 levels,
+    # where walking |S| * lcm = 29 * 2310 levels per state passed the budget
+    import time
+
+    A = _lcm_cycles((2, 3, 5, 7, 11))
+    start = time.perf_counter()
+    assert classify_activity(A) == ("bounded", 0, 1)
+    assert time.perf_counter() - start < 2
+
+
+def _fan_out_cycles(lengths):
+    """``_lcm_cycles`` entered from the leaves of a binary tree of states
+    over both letters, so the root's level vector runs through every cycle
+    at once; tree states swap nothing."""
+    rows = {}
+    leaves = [f"c{i}_0" for i in range(len(lengths))]
+    depth = 0
+    while len(leaves) > 1:
+        depth += 1
+        pairs = [leaves[k : k + 2] for k in range(0, len(leaves), 2)]
+        leaves = [f"t{depth}_{k}" for k in range(len(pairs))]
+        rows.update({name: (pair * (3 - len(pair)), [0, 1]) for name, pair in zip(leaves, pairs)})
+    rows = dict(reversed(rows.items()))  # the root first
+    for i, n in enumerate(lengths):
+        for j in range(n):
+            rows[f"c{i}_{j}"] = ([f"c{i}_{(j + 1) % n}", "e"], [1, 0] if j == 0 else [0, 1])
+    return _automaton("01", rows)
+
+
 def test_activity_horizon_past_the_budget_raises(tmp_path, capsys):
-    # an 11-cycle more: 28 nontrivial states times 29 * 2310 levels
+    # the root's vector runs through cycles of every prime length up to 19
+    # at once, a period of lcm = 9,699,690 levels of 8 entries each
+    import time
+
     from autgrp import cli_main
     from autgrp.automata import serialize_automaton
 
-    A = _lcm_cycles((2, 3, 5, 7, 11))
+    A = _fan_out_cycles((2, 3, 5, 7, 11, 13, 17, 19))
+    assert _cycle_structure(A) == (False, [2, 3, 5, 7, 11, 13, 17, 19], 1)
+    start = time.perf_counter()
     with pytest.raises(BudgetExceeded) as err:
         classify_activity(A)
+    assert time.perf_counter() - start < 10
     assert err.value.what == "activity horizon"
     path = tmp_path / "cycles.aut"
     path.write_text(serialize_automaton(A), encoding="utf-8")
     assert cli_main(["classify", "--automaton", str(path)]) == 2
     assert "activity horizon exceeded budget" in capsys.readouterr().err
+    # below the root, each tree state's cycles have a period within the budget
+    B = _fan_out_cycles((2, 3, 5, 7))
+    assert classify_activity(B) == ("bounded", 0, 4)

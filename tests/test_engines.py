@@ -359,6 +359,135 @@ def test_every_cell_spells_its_walk(case):
             assert got.tolist() == want, (c, strip)
 
 
+# cells above DEFAULT_TABLE_BUDGET: (5^8 + 5) * 4 = 1,562,520 cells each
+@pytest.fixture(scope="module")
+def indexed_plans(grig, basilica):
+    bas, gri = build_certificate(basilica, 8, 2, "item1"), build_certificate(grig, 8, 2, "item1")
+    plans = {}
+    for key, A, cert in (("bas8", basilica, bas), ("grig8", grig, gri)):
+        plans[f"{key}-bounded"] = S._plan(A, "bounded", cert)
+        plans[f"{key}-contracting"] = S._plan(A, "contracting", cert)
+        plans[f"{key}-polynomial"] = S._plan(A, "polynomial", cert, 0)
+    return plans
+
+
+def indexed_words(seed):
+    rng = random.Random(seed)
+    lengths = (300, 700, 2000)
+    words = {"bas8": [], "grig8": []}
+    for n in lengths:
+        words["bas8"] += [free_trivial(rng, n), "".join(rng.choices("abAB", k=n)), free_trivial(rng, n, "abABe")]
+        words["grig8"] += [grig_trivial(rng, n)[:n], grig_trivial(rng, n), "".join(rng.choices("abcd", k=n))]
+    words["bas8"].append("ab" * 600)
+    words["grig8"].append(("ab" * 16 + "ad" * 4 + "ac" * 8) * 30)
+    return words
+
+
+def test_tables_above_the_budget_are_indexed(indexed_plans):
+    for rw, _ in indexed_plans.values():
+        table = V.dense_table(rw)
+        assert table.n_codes * table.branches > autgrp.contraction.DEFAULT_TABLE_BUDGET
+        assert table.keys is not None and len(table.keys) < table.n_codes
+
+
+def test_engines_agree_above_the_table_budget(indexed_plans):
+    verdicts = set()
+    for name, plan in indexed_plans.items():
+        for w in indexed_words(20261021)[name.split("-")[0]]:
+            result = assert_engines_agree(plan, w)
+            verdicts.add(result.verdict)
+    assert verdicts == {True, False}
+
+
+def test_handoff_ledger_above_the_table_budget(indexed_plans, monkeypatch):
+    # the public path starts on the indexed table and finishes on the lists
+    passes = []
+    for engine in (S._ListTape, V._ArrayTape):
+        spy = lambda self, rw, f=engine.drop_short: passes.append(type(self)) or f(self, rw)
+        monkeypatch.setattr(engine, "drop_short", spy)
+    rng = random.Random(11)
+    for name, w in (("bas8-bounded", free_trivial(rng, 1000)), ("grig8-contracting", grig_trivial(rng, 4096))):
+        rw, rules = indexed_plans[name]
+        del passes[:]
+        before = rw.table_reads
+        handed = S._run_stages(rw, rules, w)
+        reads = rw.table_reads - before
+        assert passes[0] is V._ArrayTape and passes[-1] is S._ListTape, name
+        want, want_reads = run_engine("python", rw, rules, w)
+        assert handed.verdict and reads == want_reads
+        assert len(handed.ledger) == len(want.ledger)
+        for k, (got, exp) in enumerate(zip(handed.ledger, want.ledger)):
+            assert got == exp, (name, k)
+        assert handed == want
+
+
+def test_filled_cells_spell_their_walk(indexed_plans):
+    # after solves, every row the table holds spells what the certificate's
+    # walk gives its block, or its tail letter's section letter
+    for name in ("bas8-bounded", "grig8-bounded"):
+        rw, rules = indexed_plans[name]
+        table = V.dense_table(rw)
+        for w in indexed_words(5)[name.split("-")[0]]:
+            S._run_stages(rw, rules, w)
+        n, L, R = table.n_states, table.block, table.branches
+        seck, identity = rw._ctx.seck, rw.automaton.identity
+        assert len(table.keys) > n and list(table.keys) == sorted(set(table.keys.tolist()))
+        assert table.spelled[0].shape == (len(table.keys) * R, table.maxlen)
+        for row, code in enumerate(table.keys.tolist()):
+            for x in range(R):
+                for strip in (False, True):
+                    if code < table.n_codes:
+                        block = tuple(code // n ** (L - 1 - d) % n for d in range(L))
+                        want = list(rw._row(block)[x][0])
+                    else:
+                        sec = seck[code - table.n_codes][x]
+                        want = [] if strip and sec == identity else [sec]
+                    got = table.spell(np.array([row * R + x]), np.array([0]), strip)[0]
+                    assert got.tolist() == want, (name, code, x, strip)
+            if code < table.n_codes:
+                ends = rw.sections(list(block), strip=False)[1]
+                assert table.image_t[:, table.unit_gid[row]].tolist() == ends, (name, code)
+
+
+def test_a_second_solve_fills_no_row(basilica, monkeypatch):
+    fills = []
+    fill = V.DenseTable._fill
+    monkeypatch.setattr(V.DenseTable, "_fill", lambda self, codes: fills.append(len(codes)) or fill(self, codes))
+    rw, rules = S._plan(basilica, "bounded", build_certificate(basilica, 8, 2, "item1"))
+    w = free_trivial(random.Random(3), 3000)
+    first = S._run_stages(rw, rules, w)
+    table = V.dense_table(rw)
+    held = len(table.keys)
+    assert fills and held == table.n_states + sum(fills)
+    del fills[:]
+    assert S._run_stages(rw, rules, w) == first
+    assert fills == [] and len(table.keys) == held
+
+
+def test_cells_past_int32_get_no_table(grig):
+    # grigorchuk's (12, 1) cell has 5^12 * 2 unit cells, which fit int32,
+    # and its (13, 1) cell 5^13 * 2, which do not: that certificate gets no
+    # table, allocates nothing large, and solves on the Python tape
+    import tracemalloc
+
+    rng = random.Random(9)
+    w = grig_trivial(rng, 1000)
+    small = build_certificate(grig, 12, 1, "item1")
+    assert V.dense_table(small).keys is not None
+    cert = build_certificate(grig, 13, 1, "item1")
+    assert (cert.ball.size, cert.branches) == (2259, 2)
+    tracemalloc.start()
+    try:
+        assert V.dense_table(cert) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10 and cert.dense_table is False
+    for c in (small, cert):
+        rw, rules = S._plan(grig, "bounded", c)
+        assert S._run_stages(rw, rules, w) == run_engine("python", rw, rules, w)[0]
+
+
 def test_long_solves_finish_on_the_python_tape(grig, grig_cert, monkeypatch):
     # a trivial word whose tape shrinks under the cut: its later stages run
     # on the lists, and the report and table reads are the Python tape's

@@ -264,15 +264,18 @@ def test_reset_rule_tables_are_pinned(name):
 
 # Table reads of fixed solves on fresh certificates, one per full block
 # and branch rewritten, as the Python tape counted them entry by entry
-def _lazy_basilica_word():
-    u = "".join(random.Random(5).choices("abAB", k=300))
+def _lazy_basilica_word(k):
+    u = "".join(random.Random(5).choices("abAB", k=k))
     return u + u[::-1].translate(str.maketrans("abAB", "ABab"))
 
 
+# the basilica (8, 2) cell is above DEFAULT_TABLE_BUDGET: a 600-letter word
+# runs on its indexed table, a 240-letter word on the Python tape
 TABLE_READS = {
     "grig-python": ("grigorchuk", (2, 1, "item1"), "ab" * 16, True, 112),
     "grig-array": ("grigorchuk", (2, 1, "item1"), ("ab" * 16 + "ad" * 4 + "ac" * 8) * 6, True, 984),
-    "lazy-basilica": ("basilica", (8, 2, "item1"), _lazy_basilica_word(), True, 512),
+    "lazy-basilica-array": ("basilica", (8, 2, "item1"), _lazy_basilica_word(300), True, 512),
+    "lazy-basilica-python": ("basilica", (8, 2, "item1"), _lazy_basilica_word(120), True, 200),
     "permutes-python": ("grigorchuk", (2, 1, "item1"), "abab#ab", False, 0),
     "permutes-array": ("grigorchuk", (2, 1, "item1"), "ab" * 150 + "a", False, 0),
 }
@@ -288,7 +291,7 @@ def test_table_reads_are_pinned(case):
     r = solve_bounded(A, cert, word)
     assert r.verdict == verdict
     assert cert.table_reads == reads
-    assert bool(cert.dense_table) == case.endswith("array")  # False: too large for one
+    assert bool(cert.dense_table) == case.endswith("array")  # built by the first long tape
     if not verdict:
         assert r.stages == 0  # rejected at the first branch-permutation scan
 
