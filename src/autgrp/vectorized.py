@@ -101,8 +101,8 @@ def _prefix_parity(flags: np.ndarray) -> np.ndarray:
 
 
 class DenseTable:
-    """A rewriter's table in array form: one row per unit code it holds, in
-    code order, and one cell per row and branch.
+    """A rewriter's table in array form: one row per unit code it holds,
+    and one cell per row and branch.
 
     A unit is a full block, coded base |S| with its first letter most
     significant (identity letters included), or a single tail letter, coded
@@ -113,9 +113,11 @@ class DenseTable:
     maps generate.
 
     A table built ``whole`` holds every code, so a code is its own row and
-    ``keys`` is None.  Otherwise ``keys`` lists the codes held: the tail
-    units from the start, and each block code from the first rewrite that
-    meets it, which ``rows`` walks and inserts.
+    ``keys`` is None.  Otherwise ``keys`` lists the codes held, ascending,
+    and ``order`` the row of each: the tail units from the start, and each
+    block code from the first rewrite that meets it, which ``rows`` walks
+    and appends after the ``held`` rows, in arrays whose capacity doubles,
+    so a fill copies only the index and not the rows held before.
     """
 
     def __init__(self, rw, whole: bool):
@@ -140,13 +142,18 @@ class DenseTable:
             stripped[tails == B.identity] = -1
         self.spelled = (tails, stripped)
         self.maxlen = 1
+        self.held = n_states
         self.keys = np.arange(self.n_codes, self.n_codes + n_states, dtype=self.cell_dtype)
+        self.order = np.arange(n_states, dtype=self.cell_dtype)
         self._init_group(ctx.outk)
         self._init_short_walk(rw)
         self._init_byte_index(rw.closure)
         if whole and self.group_order <= _MAX_BRANCH_GROUP:
-            self._fill(np.arange(self.n_codes))
-            self.keys = self._trans = None
+            cells, gid = self._walk(np.arange(self.n_codes))
+            self.spelled = tuple(np.concatenate((cells, t)) for t in self.spelled)
+            self.unit_gid = np.concatenate((gid, self.unit_gid))
+            self.held += self.n_codes
+            self.keys = self.order = self._trans = None
 
     def _init_group(self, tail_maps: list) -> None:
         """Close the tail units' branch maps, which generate every unit's,
@@ -175,10 +182,11 @@ class DenseTable:
         )
         self.image_t = np.array(img, dtype=self.cell_dtype).T.copy()  # image_t[x, g] = g(x)
 
-    def _fill(self, codes: np.ndarray) -> None:
-        """Insert the rows of block ``codes``, ascending and none held yet:
-        the walk of each through the certificate's ball, every branch at
-        once, as ``ContractionCertificate.sections`` reads it."""
+    def _walk(self, codes: np.ndarray):
+        """The cells and branch-map ids of block ``codes``: the walk of each
+        through the certificate's ball, every branch at once, as
+        ``ContractionCertificate.sections`` reads it.  Cells longer than the
+        held ones widen the held tables first."""
         n, L, R, nb = self.n_states, self.block, self.branches, self._nb
         cur = np.tile(np.arange(R, dtype=np.int32) * nb, (len(codes), 1))
         for d in range(L):
@@ -200,10 +208,24 @@ class DenseTable:
             padded[i, : len(r)] = r
         cells = padded.take(remap.take(elem), axis=0)
         gid = np.array([self._elems[m] for m in map(tuple, (cur // nb).tolist())], dtype=np.uint8)
+        return cells, gid
+
+    def _fill(self, codes: np.ndarray) -> None:
+        """Append the rows of block ``codes``, ascending and none held yet,
+        and index them."""
+        cells, gid = self._walk(codes)
+        R, start, end = self.branches, self.held, self.held + len(codes)
+        if end > len(self.unit_gid):
+            cap = min(max(2 * len(self.unit_gid), end), self.n_codes + self.n_states)
+            self.spelled = tuple(_grown(t, cap * R) for t in self.spelled)
+            self.unit_gid = _grown(self.unit_gid, cap)
+        for t in self.spelled:
+            t[start * R : end * R] = cells
+        self.unit_gid[start:end] = gid
+        self.held = end
         at = self.keys.searchsorted(codes)
-        self.spelled = tuple(_insert(t, np.repeat(at * R, R), cells) for t in self.spelled)
-        self.unit_gid = _insert(self.unit_gid, at, gid)
-        self.keys = _insert(self.keys, at, codes)
+        self.keys = np.insert(self.keys, at, codes)
+        self.order = np.insert(self.order, at, np.arange(start, end, dtype=self.cell_dtype))
 
     def rows(self, code: np.ndarray) -> np.ndarray:
         """The row of each unit code, first filling the rows of block codes
@@ -215,7 +237,7 @@ class DenseTable:
         if new.any():
             self._fill(np.unique(code.compress(new)))
             at = self.keys.searchsorted(code)
-        return at.astype(self.cell_dtype)
+        return self.order.take(at)
 
     def _init_short_walk(self, rw) -> None:
         """``step[element, letter]``: the ball walk of segments shorter than
@@ -350,10 +372,12 @@ class DenseTable:
         return np.compress(kept, out), np.add.reduceat(kept, first * self.maxlen, dtype=np.int32)
 
 
-def _insert(held: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """``np.insert`` along the first axis; a concatenation when every new
-    entry goes first, as in a table built whole."""
-    return np.concatenate((new, held)) if at[-1] == 0 else np.insert(held, at, new, axis=0)
+def _grown(held: np.ndarray, n: int) -> np.ndarray:
+    """``held`` in a first axis of length ``n``; the entries past it are
+    unset until rows are appended there."""
+    out = np.empty((n,) + held.shape[1:], dtype=held.dtype)
+    out[: len(held)] = held
+    return out
 
 
 def _cert_table(cert: ContractionCertificate) -> Optional[DenseTable]:

@@ -256,28 +256,39 @@ def _lcm_cycles(lengths):
     return _automaton("01", rows)
 
 
-def test_bound_walks_each_state_once():
-    # 18 states: a horizon of 18 * lcm(2, 3, 5, 7) = 3,780 levels, which a
-    # walk from the root for every level took 31 s to cover
-    import time
+def _counted_levels(monkeypatch):
+    """Wrap the level walk; the returned list gets each vector's entries."""
+    walked, levels = [], contraction._activity_levels
 
+    def counted(A, s):
+        for vec in levels(A, s):
+            walked.append(len(vec))
+            yield vec
+
+    monkeypatch.setattr(contraction, "_activity_levels", counted)
+    return walked
+
+
+def test_bound_walks_each_state_once(monkeypatch):
+    # 18 states: a horizon of 18 * lcm(2, 3, 5, 7) = 3,780 levels, which a
+    # walk from the root for every level took 31 s to cover; each state's
+    # walk now stops within 2 * 8 + 1 vectors, its vector's period being 7
+    walked = _counted_levels(monkeypatch)
     A = _lcm_cycles((2, 3, 5, 7))
-    start = time.perf_counter()
     assert classify_activity(A) == ("bounded", 0, 1)
-    assert time.perf_counter() - start < 2
+    assert len(walked) <= 17 * 17
     s = A.states.index("c3_0")
     assert [activity_count(A, s, n) for n in (0, 1, 6, 7, 3780)] == [1, 1, 1, 1, 1]
 
 
-def test_each_walk_stops_at_its_first_repeated_vector():
+def test_each_walk_stops_at_its_first_repeated_vector(monkeypatch):
     # an 11-cycle more: each state's level vector repeats within 11 levels,
-    # where walking |S| * lcm = 29 * 2310 levels per state passed the budget
-    import time
-
+    # where walking |S| * lcm = 29 * 2310 levels per state passed the budget;
+    # Brent's detection stops each walk within 2 * 16 + 1 vectors
+    walked = _counted_levels(monkeypatch)
     A = _lcm_cycles((2, 3, 5, 7, 11))
-    start = time.perf_counter()
     assert classify_activity(A) == ("bounded", 0, 1)
-    assert time.perf_counter() - start < 2
+    assert len(walked) <= 28 * 33
 
 
 def _fan_out_cycles(lengths):
@@ -299,21 +310,20 @@ def _fan_out_cycles(lengths):
     return _automaton("01", rows)
 
 
-def test_activity_horizon_past_the_budget_raises(tmp_path, capsys):
+def test_activity_horizon_past_the_budget_raises(tmp_path, capsys, monkeypatch):
     # the root's vector runs through cycles of every prime length up to 19
-    # at once, a period of lcm = 9,699,690 levels of 8 entries each
-    import time
-
+    # at once, a period of lcm = 9,699,690 levels of 8 entries each; the
+    # walk stops once the entries walked pass the budget
     from autgrp import cli_main
     from autgrp.automata import serialize_automaton
 
+    walked = _counted_levels(monkeypatch)
     A = _fan_out_cycles((2, 3, 5, 7, 11, 13, 17, 19))
     assert _cycle_structure(A) == (False, [2, 3, 5, 7, 11, 13, 17, 19], 1)
-    start = time.perf_counter()
     with pytest.raises(BudgetExceeded) as err:
         classify_activity(A)
-    assert time.perf_counter() - start < 10
     assert err.value.what == "activity horizon"
+    assert contraction.DEFAULT_BALL_BUDGET < sum(walked) <= contraction.DEFAULT_BALL_BUDGET + 2 * len(A.states)
     path = tmp_path / "cycles.aut"
     path.write_text(serialize_automaton(A), encoding="utf-8")
     assert cli_main(["classify", "--automaton", str(path)]) == 2

@@ -431,9 +431,10 @@ def test_filled_cells_spell_their_walk(indexed_plans):
             S._run_stages(rw, rules, w)
         n, L, R = table.n_states, table.block, table.branches
         seck, identity = rw._ctx.seck, rw.automaton.identity
-        assert len(table.keys) > n and list(table.keys) == sorted(set(table.keys.tolist()))
-        assert table.spelled[0].shape == (len(table.keys) * R, table.maxlen)
-        for row, code in enumerate(table.keys.tolist()):
+        assert len(table.keys) == table.held > n and list(table.keys) == sorted(set(table.keys.tolist()))
+        assert sorted(table.order.tolist()) == list(range(table.held))
+        assert table.spelled[0].shape[1] == table.maxlen
+        for row, code in zip(table.order.tolist(), table.keys.tolist()):
             for x in range(R):
                 for strip in (False, True):
                     if code < table.n_codes:
@@ -450,15 +451,19 @@ def test_filled_cells_spell_their_walk(indexed_plans):
 
 
 def test_a_second_solve_fills_no_row(basilica, monkeypatch):
-    fills = []
-    fill = V.DenseTable._fill
+    fills, grows = [], []
+    fill, grown = V.DenseTable._fill, V._grown
     monkeypatch.setattr(V.DenseTable, "_fill", lambda self, codes: fills.append(len(codes)) or fill(self, codes))
+    monkeypatch.setattr(V, "_grown", lambda held, n: grows.append(n) or grown(held, n))
     rw, rules = S._plan(basilica, "bounded", build_certificate(basilica, 8, 2, "item1"))
     w = free_trivial(random.Random(3), 3000)
     first = S._run_stages(rw, rules, w)
     table = V.dense_table(rw)
     held = len(table.keys)
-    assert fills and held == table.n_states + sum(fills)
+    assert fills and held == table.held == table.n_states + sum(fills)
+    # appended rows copy the held ones only when the capacity doubles
+    assert len(grows) <= 3 * len(fills) and len(table.unit_gid) < 2 * held
+    assert all(b >= 2 * a for a, b in zip(grows[::3], grows[3::3]))
     del fills[:]
     assert S._run_stages(rw, rules, w) == first
     assert fills == [] and len(table.keys) == held
